@@ -28,9 +28,8 @@ from .diagnosis import (
 from .features import FEATURE_NAMES, FeatureRecord, PhaseLabels, extract_features
 from .loss import build_weight_map, dice_loss, weighted_ce
 from .netgraph import NetConfig, build_graph, summarize, to_dot
-from .pipeline import PipelineConfig, PipelineError, dumps_report, run_pipeline
+from .pipeline import PipelineConfig, PipelineError, dumps_report, roi_center, run_pipeline
 from .postprocess import postprocess_labels
-from .roi import locate_roi
 from .volume import LabelVolume, ScalarVolume, crop_patch, load_volume, save_volume
 
 
@@ -58,14 +57,16 @@ def _add_config_flag(sub) -> None:
 def _cmd_roi(args) -> int:
     cfg = _config_from(args).roi_config()
     vol = load_volume(args.input, "scalar")
-    result = locate_roi(vol, cfg)
-    patch = crop_patch(vol, result.roi_center, cfg.patch_size)
+    center, fallback = roi_center(vol, cfg)
+    patch = crop_patch(vol, center, cfg.patch_size)
     if args.out_patch:
         save_volume(ScalarVolume(data=patch.data, spacing=vol.spacing), args.out_patch)
     payload = {
-        "center": list(result.roi_center),
+        "center": list(center),
         "patch_size": list(cfg.patch_size),
     }
+    if fallback:
+        payload["fallback"] = fallback
     _write_out(json.dumps(payload, sort_keys=True) + "\n", args.out_center)
     return 0
 

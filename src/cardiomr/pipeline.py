@@ -24,7 +24,7 @@ from .diagnosis import load_model, predict_two_stage
 from .features import FEATURE_NAMES, PhaseLabels, extract_features
 from .loss import LossConfig
 from .postprocess import postprocess_labels
-from .roi import RoiConfig, locate_roi
+from .roi import RoiConfig, RoiLocateError, locate_roi
 from .volume import LabelVolume, ScalarVolume, crop_patch, load_volume, save_volume
 
 ENV_PREFIX = "CARDIOMR_"
@@ -154,6 +154,19 @@ def probs_to_labels(prob_volume: ScalarVolume, schema=None) -> LabelVolume:
     return LabelVolume(data=data, spacing=prob_volume.spacing[:3], **kwargs)
 
 
+def roi_center(cine: ScalarVolume, cfg: RoiConfig) -> tuple:
+    """ROI center of a cine and the fallback taken, if any.
+
+    Returns ``(center, None)`` with the :func:`locate_roi` center, or
+    ``((nx // 2, ny // 2), "image_center")`` when no slice yields a Hough
+    circle (a static cine, say).
+    """
+    try:
+        return locate_roi(cine, cfg).roi_center, None
+    except RoiLocateError:
+        return (cine.dims[0] // 2, cine.dims[1] // 2), "image_center"
+
+
 def _load_phase_labels(seg_path, probs_path, kind_name: str):
     if seg_path is not None:
         vol = load_volume(seg_path, "label")
@@ -195,15 +208,17 @@ def run_pipeline(
     try:
         cine = load_volume(cine_path, "scalar")
         roi_cfg = config.roi_config()
-        result = locate_roi(cine, roi_cfg)
-        patch = crop_patch(cine, result.roi_center, roi_cfg.patch_size)
+        center, fallback = roi_center(cine, roi_cfg)
+        patch = crop_patch(cine, center, roi_cfg.patch_size)
         patch_path, patch_rel = artifact("roi_patch.vol")
         save_volume(ScalarVolume(data=patch.data, spacing=cine.spacing), patch_path)
         report["stages"]["roi"] = {
-            "center": list(result.roi_center),
+            "center": list(center),
             "patch_size": list(roi_cfg.patch_size),
             "patch": patch_rel,
         }
+        if fallback:
+            report["stages"]["roi"]["fallback"] = fallback
     except Exception as exc:  # noqa: BLE001 - stage boundary
         raise PipelineError("roi", str(exc)) from exc
 

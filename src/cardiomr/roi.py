@@ -10,10 +10,11 @@ likelihood surface. The surface argmax is the ROI center.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from functools import lru_cache
+from typing import List
 
 import numpy as np
-from scipy import ndimage, signal
+from scipy import fft, ndimage
 
 from .volume import ScalarVolume, crop_patch
 
@@ -80,14 +81,27 @@ class HoughResult:
 
 
 def temporal_h1(v: ScalarVolume) -> H1Volume:
-    """Magnitude of DFT bin 1 along the time axis, per voxel (phase discarded)."""
-    nt = v.dims[3]
+    """Magnitude of DFT bin 1 along the time axis, per voxel (phase discarded).
+
+    Bin 1 is computed in float64 one z-slice at a time, so the extra memory
+    is one complex slice, never a float64 or complex copy of the whole cine.
+    Each voxel's sum runs over the same frames in the same order as a
+    whole-volume product, so the values are bitwise equal to it.
+    """
+    nx, ny, nz, nt = v.dims
     if nt < 2:
         raise ValueError(f"temporal analysis needs at least 2 frames, got {nt}")
     t = np.arange(nt)
     phase = np.exp(-2j * np.pi * t / nt)
-    bin1 = np.tensordot(v.data.astype(np.float64), phase, axes=([3], [0]))
-    return H1Volume(magnitudes=np.abs(bin1), spacing=v.spacing[:3])
+    magnitudes = np.empty((nx, ny, nz))
+    # (y, x, t) order reads the x-fastest file layout sequentially; each
+    # voxel's row is summed on its own, so the row order does not matter
+    slab = np.zeros((ny, nx, nt), dtype=np.complex128)
+    for z in range(nz):
+        slab.real = v.data[:, :, z, :].transpose(1, 0, 2)
+        bin1 = slab.reshape(ny * nx, nt) @ phase
+        magnitudes[:, :, z] = np.abs(bin1).reshape(ny, nx).T
+    return H1Volume(magnitudes=magnitudes, spacing=v.spacing[:3])
 
 
 def denoise_h1(h: H1Volume, frac: float) -> H1Volume:
@@ -161,35 +175,99 @@ def _ring_kernel(radius: int) -> np.ndarray:
     return (np.round(dist) == radius).astype(np.float64)
 
 
+@lru_cache(maxsize=4)
+def _ring_spectra(shape: tuple, radius_min: int, radius_max: int) -> np.ndarray:
+    """Real 2D spectra of the ring kernels for every radius, on a `shape` grid.
+
+    Each kernel is centred at index 0 and wraps around (overlapping wraps
+    add up), so on a grid at least image + radius large the product with an
+    image spectrum crops (at ``[:nx, :ny]``) to the ``mode="same"``
+    convolution.
+    """
+    spectra = []
+    for radius in range(radius_min, radius_max + 1):
+        kernel = np.zeros(shape)
+        offsets = np.arange(-radius, radius + 1)
+        wrapped = np.ix_(offsets % shape[0], offsets % shape[1])
+        np.add.at(kernel, wrapped, _ring_kernel(radius))
+        spectra.append(fft.rfft2(kernel))
+    out = np.stack(spectra)
+    out.setflags(write=False)
+    return out
+
+
+# Candidates per wanted circle in the first prefix of _select_peaks.
+_PREFIX_PER_PEAK = 64
+
+
+def _select_peaks(votes: np.ndarray, top_p: int, min_dist: int) -> list:
+    """Greedy non-maximum suppression over the positive votes of one plane.
+
+    Candidates are visited by score descending, ties by flat (C-order) index
+    descending; a candidate is kept unless it lies closer than ``min_dist``
+    to an already kept one, until ``top_p`` are kept. Only a prefix of that
+    order is materialized: every vote at or above a cut score that at least
+    k votes reach (so ties at the cut stay inside it), with the cut lowered
+    while the prefix runs out of live candidates.
+    Returns ``(x, y, score)`` tuples in the order kept.
+    """
+    flat = votes.ravel()
+    positive = np.flatnonzero(flat > 0)
+    if positive.size == 0:
+        return []
+    pos_scores = flat[positive]
+    # votes are integers; at_least[v] counts the positive votes >= v
+    at_least = np.cumsum(np.bincount(pos_scores.astype(np.intp))[::-1])[::-1]
+    k = _PREFIX_PER_PEAK * top_p
+    while True:
+        cut = max(1, int(np.count_nonzero(at_least >= k)) - 1)
+        prefix = pos_scores >= cut
+        idx, scores = positive[prefix], pos_scores[prefix]
+        order = np.lexsort((-idx, -scores))
+        idx, scores = idx[order], scores[order]
+        xs, ys = np.divmod(idx, votes.shape[1])
+        live = np.ones(idx.size, dtype=bool)
+        kept = []
+        while len(kept) < top_p:
+            i = int(np.argmax(live))
+            if not live[i]:
+                break
+            kept.append(i)
+            live &= np.hypot(xs - xs[i], ys - ys[i]) >= min_dist
+        if len(kept) == top_p or cut == 1:
+            return [(int(xs[i]), int(ys[i]), float(scores[i])) for i in kept]
+        k *= 8
+
+
 def hough_circles(edges: np.ndarray, cfg: RoiConfig) -> List[Circle]:
     """Classical circular Hough transform over the configured radius range.
 
-    Returns the top_p circles by accumulator score. Suppression of nearby
-    candidates (closer than radius_min) is applied within each radius
-    plane, so concentric circles of different radii can both be returned.
+    The edge map is transformed once; each radius plane is its product with
+    a cached ring-kernel spectrum, inverted and rounded to integral votes,
+    so the cost depends on the map size and radius range, not on how many
+    edge pixels there are. Within each plane, peaks are picked greedily by
+    score descending, ties by flat (C-order) index descending, dropping any
+    candidate closer than radius_min to an already kept peak of that plane;
+    concentric circles of different radii can therefore both be returned.
+    All planes' peaks are then ordered by (score desc, y, x, radius) and the
+    first top_p returned.
     """
     edges = np.asarray(edges)
     if edges.ndim != 2:
         raise ValueError("hough_circles expects a 2D edge map")
     if not edges.any():
         return []
-    emap = edges.astype(np.float64)
+    nx, ny = edges.shape
+    shape = tuple(fft.next_fast_len(n + cfg.radius_max, real=True) for n in (nx, ny))
+    spectrum = fft.rfft2(edges.astype(np.float64), s=shape)
+    spectra = _ring_spectra(shape, cfg.radius_min, cfg.radius_max)
 
     candidates: List[Circle] = []
-    for radius in range(cfg.radius_min, cfg.radius_max + 1):
-        acc = signal.fftconvolve(emap, _ring_kernel(radius), mode="same")
-        acc = np.where(acc > 0.5, np.round(acc), 0.0)  # votes are integral counts
-        flat_order = np.argsort(acc, axis=None, kind="stable")[::-1]
-        kept: List[Tuple[int, int]] = []
-        for flat in flat_order:
-            score = acc.flat[flat]
-            if score <= 0 or len(kept) >= cfg.top_p:
-                break
-            x, y = np.unravel_index(flat, acc.shape)
-            if any(np.hypot(x - kx, y - ky) < cfg.radius_min for kx, ky in kept):
-                continue
-            kept.append((int(x), int(y)))
-            candidates.append(Circle(center=(int(x), int(y)), radius=radius, score=float(score)))
+    for radius, ring in zip(range(cfg.radius_min, cfg.radius_max + 1), spectra):
+        acc = fft.irfft2(spectrum * ring, s=shape)[:nx, :ny]
+        votes = np.round(acc)  # votes are integral counts; FFT noise rounds away
+        for x, y, score in _select_peaks(votes, cfg.top_p, cfg.radius_min):
+            candidates.append(Circle(center=(x, y), radius=radius, score=score))
 
     candidates.sort(key=lambda c: (-c.score, c.center[1], c.center[0], c.radius))
     return candidates[: cfg.top_p]
@@ -224,7 +302,7 @@ def locate_roi(v: ScalarVolume, cfg: RoiConfig | None = None) -> HoughResult:
     h1 = temporal_h1(v)
     # a temporally constant voxel leaves ~1e-16 relative DFT residue; floor
     # it so static inputs read as signal-free instead of as faint circles
-    floor = 1e-12 * v.dims[3] * float(np.abs(v.data).max())
+    floor = 1e-12 * v.dims[3] * float(max(v.data.max(), -v.data.min()))
     h1 = H1Volume(
         magnitudes=np.where(h1.magnitudes <= floor, 0.0, h1.magnitudes),
         spacing=h1.spacing,

@@ -9,6 +9,7 @@ at flat index ``x + nx*(y + ny*(z + nz*t))``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,21 +69,28 @@ class LabelSchema:
 ACDC_SCHEMA = LabelSchema()
 
 
-def _locked(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
-    out.setflags(write=False)
-    return out
+def _locked(arr: np.ndarray, source) -> np.ndarray:
+    """Read-only `arr`, copied first only if it shares memory with `source`."""
+    if np.may_share_memory(arr, source):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
 class ScalarVolume:
-    """Immutable 4D real-valued grid with physical spacing."""
+    """Immutable 4D real-valued grid with physical spacing.
+
+    Data is held as float64 (the file format quantizes to float32 on save).
+    The caller's array is copied at most once: the float64 cast is the copy
+    when it has to convert, and otherwise one explicit copy is made, so the
+    volume never aliases the caller's memory.
+    """
 
     data: np.ndarray
     spacing: tuple = (1.0, 1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        # float64 in memory; the file format quantizes to float32 on save
         data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 4:
             raise ValueError(f"scalar volume must be 4D, got {data.ndim}D")
@@ -91,7 +99,7 @@ class ScalarVolume:
         spacing = tuple(float(s) for s in self.spacing)
         if len(spacing) != 4 or any(s <= 0 for s in spacing):
             raise ValueError(f"spacing must be 4 positive reals, got {self.spacing}")
-        object.__setattr__(self, "data", _locked(data))
+        object.__setattr__(self, "data", _locked(data, self.data))
         object.__setattr__(self, "spacing", spacing)
 
     @property
@@ -124,7 +132,7 @@ class LabelVolume:
             raise ValueError(
                 f"spacing must be {data.ndim} positive reals, got {self.spacing}"
             )
-        object.__setattr__(self, "data", _locked(data.astype(np.uint8)))
+        object.__setattr__(self, "data", _locked(data.astype(np.uint8), self.data))
         object.__setattr__(self, "spacing", spacing)
 
     @property
@@ -161,7 +169,7 @@ def _parse_header(raw: bytes, path):
     if sep < 0:
         raise VolumeFormatError(f"{path}: missing blank line terminating the header")
     header_text = raw[:sep].decode("ascii", errors="replace")
-    payload = raw[sep + 2:]
+    payload = memoryview(raw)[sep + 2:]  # a view: slicing bytes would copy the payload
 
     fields = {}
     order = []
@@ -234,7 +242,7 @@ def load_volume(path, kind: str):
     dims, spacing, etype, payload = _parse_header(raw, path)
 
     dtype = _ELEMENT_TYPES[etype]
-    expected = int(np.prod(dims)) * dtype.itemsize
+    expected = math.prod(dims) * dtype.itemsize  # Python ints: no int64 wrap-around
     if len(payload) != expected:
         raise VolumeSizeError(
             f"{path}: payload holds {len(payload)} bytes, expected {expected}"

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,28 @@ def case(tmp_path_factory):
     save_volume(ed, tmp / "ed.vol")
     save_volume(es, tmp / "es.vol")
     return tmp
+
+
+@pytest.fixture(scope="module")
+def static_cine(tmp_path_factory):
+    """A cine with no motion at all: no H1 energy, so no Hough circles."""
+    rng = np.random.default_rng(2)
+    frame = rng.random((160, 150)).astype(np.float32)
+    path = tmp_path_factory.mktemp("static") / "cine.vol"
+    save_volume(ScalarVolume(data=np.repeat(frame[:, :, None, None], 12, axis=3)), path)
+    return path
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    import cardiomr
+
+    src = str(Path(cardiomr.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, cardiomr.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestConfig:
@@ -89,6 +115,7 @@ class TestRunPipeline:
         assert report["schema"] == 1
         center = report["stages"]["roi"]["center"]
         assert np.hypot(center[0] - 80, center[1] - 80) <= 2.0
+        assert "fallback" not in report["stages"]["roi"]
         for phase in ("ED", "ES"):
             for cls in ("RV", "MYO", "LV"):
                 m = report["stages"]["metrics"][phase][cls]
@@ -116,6 +143,17 @@ class TestRunPipeline:
         # artifacts from earlier stages are retained
         assert (tmp_path / "o3" / "roi_patch.vol").exists()
 
+    def test_static_cine_falls_back_to_image_center(self, case, static_cine, tmp_path):
+        report = run_pipeline(
+            static_cine, tmp_path / "out",
+            seg_ed=case / "ed.vol", seg_es=case / "es.vol",
+        )
+        assert report["stages"]["roi"]["center"] == [80, 75]
+        assert report["stages"]["roi"]["fallback"] == "image_center"
+        assert "features" in report["stages"]
+        patch = load_volume(tmp_path / "out" / "roi_patch.vol", "scalar")
+        assert patch.dims[:2] == (128, 128)
+
     def test_same_seed_bytewise_identical_reports(self, case, tmp_path):
         kwargs = dict(seg_ed=case / "ed.vol", seg_es=case / "es.vol",
                       gt_ed=case / "ed.vol", gt_es=case / "es.vol")
@@ -136,6 +174,16 @@ class TestCli:
         payload = json.loads((tmp_path / "center.json").read_text())
         assert payload["patch_size"] == [128, 128]
         assert load_volume(tmp_path / "patch.vol", "scalar").dims[:2] == (128, 128)
+
+    def test_roi_subcommand_static_cine_falls_back(self, static_cine, tmp_path):
+        rc = main([
+            "roi", "--input", str(static_cine),
+            "--out-center", str(tmp_path / "center.json"),
+        ])
+        assert rc == 0
+        payload = json.loads((tmp_path / "center.json").read_text())
+        assert payload == {"center": [80, 75], "fallback": "image_center",
+                           "patch_size": [128, 128]}
 
     def test_weights_and_loss_subcommands(self, case, tmp_path):
         rc = main([

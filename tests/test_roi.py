@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import cardiomr.roi as roi_mod
 from cardiomr.phantoms import disk_mask, pulsating_disk_cine
 from cardiomr.roi import (
+    Circle,
     RoiConfig,
     RoiLocateError,
     canny_edges,
@@ -11,7 +13,7 @@ from cardiomr.roi import (
     locate_roi,
     temporal_h1,
 )
-from cardiomr.volume import ScalarVolume
+from cardiomr.volume import ScalarVolume, load_volume, save_volume
 
 
 def cine_from_series(series, shape=(2, 2, 1)):
@@ -163,3 +165,107 @@ class TestLocateRoi:
         # interior centers: truncated Gaussian keeps ~98.9% of unit mass
         mass = result.surface.sum()
         assert abs(mass - total_score * (1 - np.exp(-4.5))) / total_score < 0.01
+
+
+def reference_hough_circles(edges, cfg):
+    """The per-radius fftconvolve + full argsort transform the FFT rewrite replaced."""
+    from scipy import signal
+
+    if not edges.any():
+        return []
+    emap = edges.astype(np.float64)
+    candidates = []
+    for radius in range(cfg.radius_min, cfg.radius_max + 1):
+        acc = signal.fftconvolve(emap, roi_mod._ring_kernel(radius), mode="same")
+        acc = np.where(acc > 0.5, np.round(acc), 0.0)
+        flat_order = np.argsort(acc, axis=None, kind="stable")[::-1]
+        kept = []
+        for flat in flat_order:
+            score = acc.flat[flat]
+            if score <= 0 or len(kept) >= cfg.top_p:
+                break
+            x, y = np.unravel_index(flat, acc.shape)
+            if any(np.hypot(x - kx, y - ky) < cfg.radius_min for kx, ky in kept):
+                continue
+            kept.append((int(x), int(y)))
+            candidates.append(Circle(center=(int(x), int(y)), radius=radius, score=float(score)))
+    candidates.sort(key=lambda c: (-c.score, c.center[1], c.center[0], c.radius))
+    return candidates[: cfg.top_p]
+
+
+def criterion1_edge_maps(count):
+    """Edge maps of the first `count` phantom cines of acceptance criterion 1."""
+    rng = np.random.default_rng(20240801)
+    cfg = RoiConfig()
+    maps = []
+    for _ in range(count):
+        cx = int(rng.integers(44, 148))
+        cy = int(rng.integers(44, 148))
+        cine = pulsating_disk_cine(
+            shape=(192, 192), center=(cx, cy), radius_range=(10, 14),
+            n_frames=30, seed=int(rng.integers(0, 2**31)),
+        )
+        h1 = denoise_h1(temporal_h1(cine), cfg.h1_noise_frac)
+        maps.append(canny_edges(
+            h1.magnitudes[:, :, 0], cfg.canny_sigma, cfg.canny_low, cfg.canny_high
+        ))
+    return maps
+
+
+def random_edge_map(n_pixels, shape=(224, 224), seed=0):
+    rng = np.random.default_rng(seed)
+    edges = np.zeros(shape, dtype=bool)
+    edges.flat[rng.choice(edges.size, n_pixels, replace=False)] = True
+    return edges
+
+
+class TestHoughOracle:
+    """The FFT transform returns exactly the reference's circles, in order."""
+
+    def test_criterion1_phantom_edge_maps(self):
+        cfg = RoiConfig()
+        for edges in criterion1_edge_maps(20):
+            assert edges.any()
+            assert hough_circles(edges, cfg) == reference_hough_circles(edges, cfg)
+
+    @pytest.mark.parametrize("n_pixels", [200, 1000, 3000])
+    def test_random_edge_maps(self, n_pixels):
+        cfg = RoiConfig()
+        edges = random_edge_map(n_pixels, seed=n_pixels)
+        assert hough_circles(edges, cfg) == reference_hough_circles(edges, cfg)
+
+    def test_too_few_survivors_grow_the_prefix(self, monkeypatch):
+        # a one-candidate-per-circle first prefix holds only the tied 9s, all
+        # within radius_min of each other; the prefix must grow to every
+        # positive vote, and still fewer than top_p peaks survive
+        monkeypatch.setattr(roi_mod, "_PREFIX_PER_PEAK", 1)
+        cfg = RoiConfig(top_p=5)
+        votes = np.zeros((14, 14))
+        votes[0:2, 0:3] = 9.0
+        votes[12, 12] = 2.0
+        votes[13, 0] = 1.0
+        kept = roi_mod._select_peaks(votes, cfg.top_p, cfg.radius_min)
+        assert kept == [(1, 2, 9.0), (12, 12, 2.0), (13, 0, 1.0)]
+        edges = random_edge_map(12, shape=(14, 14), seed=4)
+        assert hough_circles(edges, cfg) == reference_hough_circles(edges, cfg)
+
+    def test_tie_heavy_symmetric_ring(self):
+        cfg = RoiConfig(radius_min=8, radius_max=20, top_p=7)
+        edges = ring_edges(81, (40, 40), 12)
+        assert np.array_equal(edges, edges[::-1]) and np.array_equal(edges, edges.T)
+        assert hough_circles(edges, cfg) == reference_hough_circles(edges, cfg)
+
+
+class TestTemporalH1Oracle:
+    @pytest.mark.parametrize("via_file", [True, False])
+    def test_bitwise_equal_to_whole_volume_product(self, via_file, tmp_path):
+        rng = np.random.default_rng(7)
+        data = (100 * rng.random((37, 29, 3, 30))).astype(np.float32)
+        cine = ScalarVolume(data=data)
+        if via_file:
+            save_volume(cine, tmp_path / "cine.vol")
+            cine = load_volume(tmp_path / "cine.vol", "scalar")
+        assert cine.data.flags.f_contiguous == via_file
+        phase = np.exp(-2j * np.pi * np.arange(30) / 30)
+        expected = np.abs(np.tensordot(cine.data.astype(np.float64), phase, axes=([3], [0])))
+        assert np.array_equal(temporal_h1(cine).magnitudes, expected)

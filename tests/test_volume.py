@@ -54,6 +54,12 @@ class TestLoadSave:
         assert np.array_equal(back.data, data)
         assert back.spacing == vol.spacing
 
+    def test_dimsize_product_beyond_int64_is_a_size_error(self, tmp_path):
+        f = tmp_path / "v.vol"
+        write_raw(f, 3, (2**32, 2**32, 1), (1, 1, 1), "UINT8", b"")
+        with pytest.raises(VolumeSizeError, match="expected 18446744073709551616"):
+            load_volume(f, "label")
+
     def test_save_load_save_reproduces_payload_bytes(self, tmp_path):
         rng = np.random.default_rng(1)
         data = rng.random((5, 4, 3, 2)).astype(np.float32)
@@ -118,6 +124,15 @@ class TestTypes:
             LabelSchema(entries=((1, "A"), (1, "B")))
         with pytest.raises(ValueError):
             LabelSchema(entries=((1, "A"), (2, "B")))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_scalar_never_aliases_the_callers_array(self, dtype):
+        src = np.zeros((2, 2, 1, 3), dtype=dtype)
+        vol = ScalarVolume(data=src)
+        src[0, 0, 0, 0] = 5.0
+        assert vol.data.dtype == np.float64
+        assert vol.data[0, 0, 0, 0] == 0.0
+        assert src.flags.writeable
 
     def test_volumes_are_immutable(self):
         vol = ScalarVolume(data=np.zeros((2, 2, 1, 1)))
