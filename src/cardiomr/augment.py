@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .volume import LabelVolume, ScalarVolume
+
 
 _ZERO_GRID = (((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)))
 
@@ -169,3 +171,29 @@ def flip_pair(img, lbl, horizontal: bool, vertical: bool):
         img = img[:, ::-1]
         lbl = lbl[:, ::-1] if lbl is not None else None
     return img.copy(), (lbl.copy() if lbl is not None else None)
+
+
+def augment_volume(vol: ScalarVolume, lbl: LabelVolume | None, p: AugmentParams,
+                   flips=(False, False)):
+    """Apply one augmentation and flip pair to every (z, t) slice of a volume.
+
+    ``lbl`` is optional; a 3D label volume is shared by every frame, a 4D
+    one is augmented frame by frame. Returns ``(ScalarVolume, LabelVolume
+    or None)`` on the input grids.
+    """
+    img_out = np.empty(vol.dims, dtype=np.float64)
+    lbl_out = None if lbl is None else np.empty(lbl.dims, dtype=np.uint8)
+    per_frame = lbl is not None and lbl.data.ndim == 4
+    for z in range(vol.dims[2]):
+        for t in range(vol.dims[3]):
+            at = np.s_[:, :, z, t] if per_frame else np.s_[:, :, z]
+            img2, lbl2 = apply_augment(
+                vol.data[:, :, z, t], None if lbl is None else lbl.data[at], p, vol.spacing[:2]
+            )
+            img_out[:, :, z, t], lbl2 = flip_pair(img2, lbl2, *flips)
+            if lbl_out is not None:
+                lbl_out[at] = lbl2
+    img = ScalarVolume(data=img_out, spacing=vol.spacing)
+    if lbl is None:
+        return img, None
+    return img, LabelVolume(data=lbl_out, spacing=lbl.spacing, schema=lbl.schema)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from .augment import apply_augment, flip_pair, sample_params
+from .augment import augment_volume, sample_params
 from .diagnosis import (
     Dataset,
     load_model,
@@ -26,11 +26,11 @@ from .diagnosis import (
     train_ensemble,
 )
 from .features import FEATURE_NAMES, FeatureRecord, PhaseLabels, extract_features
-from .loss import build_weight_map, dice_loss, weighted_ce
+from .loss import dice_loss, weight_map_volume, weighted_ce
 from .netgraph import NetConfig, build_graph, summarize, to_dot
-from .pipeline import PipelineConfig, PipelineError, dumps_report, roi_center, run_pipeline
+from .pipeline import PipelineConfig, PipelineError, dumps_report, roi_stage, run_pipeline
 from .postprocess import postprocess_labels
-from .volume import LabelVolume, ScalarVolume, crop_patch, load_volume, save_volume
+from .volume import LabelVolume, ScalarVolume, load_volume, save_volume
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -55,19 +55,8 @@ def _add_config_flag(sub) -> None:
 
 
 def _cmd_roi(args) -> int:
-    cfg = _config_from(args).roi_config()
-    vol = load_volume(args.input, "scalar")
-    center, fallback = roi_center(vol, cfg)
-    patch = crop_patch(vol, center, cfg.patch_size)
-    if args.out_patch:
-        save_volume(ScalarVolume(data=patch.data, spacing=vol.spacing), args.out_patch)
-    payload = {
-        "center": list(center),
-        "patch_size": list(cfg.patch_size),
-    }
-    if fallback:
-        payload["fallback"] = fallback
-    _write_out(json.dumps(payload, sort_keys=True) + "\n", args.out_center)
+    entry = roi_stage(args.input, _config_from(args).roi_config(), args.out_patch)
+    _write_out(json.dumps(entry, sort_keys=True) + "\n", args.out_center)
     return 0
 
 
@@ -82,37 +71,10 @@ def _cmd_augment(args) -> int:
         flips = (False, False)
         if args.flips:
             flips = (bool(rng.integers(0, 2)), bool(rng.integers(0, 2)))
-        img_out = np.empty_like(vol.data, dtype=np.float64)
-        lbl_out = np.empty(lbl.data.shape, dtype=np.uint8) if lbl is not None else None
-        nz = vol.dims[2]
-        nt = vol.dims[3]
-        for z in range(nz):
-            for t in range(nt):
-                lbl_slice = None
-                if lbl is not None:
-                    lbl_slice = (
-                        lbl.data[:, :, z] if lbl.data.ndim == 3 else lbl.data[:, :, z, t]
-                    )
-                img2, lbl2 = apply_augment(
-                    vol.data[:, :, z, t], lbl_slice, params, vol.spacing[:2]
-                )
-                if args.flips:
-                    img2, lbl2 = flip_pair(img2, lbl2, *flips)
-                img_out[:, :, z, t] = img2
-                if lbl_out is not None and lbl2 is not None:
-                    if lbl.data.ndim == 3:
-                        lbl_out[:, :, z] = lbl2
-                    else:
-                        lbl_out[:, :, z, t] = lbl2
-        save_volume(
-            ScalarVolume(data=img_out.astype(np.float32), spacing=vol.spacing),
-            out_dir / f"aug_{i:03d}.vol",
-        )
-        if lbl is not None:
-            save_volume(
-                LabelVolume(data=lbl_out, spacing=lbl.spacing, schema=lbl.schema),
-                out_dir / f"aug_{i:03d}_labels.vol",
-            )
+        img_out, lbl_out = augment_volume(vol, lbl, params, flips)
+        save_volume(img_out, out_dir / f"aug_{i:03d}.vol")
+        if lbl_out is not None:
+            save_volume(lbl_out, out_dir / f"aug_{i:03d}_labels.vol")
         sidecar = params.as_dict()
         sidecar["flips"] = {"horizontal": flips[0], "vertical": flips[1]}
         (out_dir / f"aug_{i:03d}.json").write_text(
@@ -122,17 +84,16 @@ def _cmd_augment(args) -> int:
     return 0
 
 
+def _first_frame(lbl: LabelVolume) -> np.ndarray:
+    return lbl.data if lbl.data.ndim == 3 else lbl.data[:, :, :, 0]
+
+
 def _cmd_weights(args) -> int:
     cfg = _config_from(args)
     lbl = load_volume(args.input, "label")
-    data = lbl.data if lbl.data.ndim == 3 else lbl.data[:, :, :, 0]
-    out = np.empty(data.shape, dtype=np.float32)
-    for z in range(data.shape[2]):
-        out[:, :, z] = build_weight_map(
-            data[:, :, z], dilate_iters=cfg["loss.dilate_iters"]
-        ).values
+    w = weight_map_volume(_first_frame(lbl), cfg["loss.dilate_iters"])
     save_volume(
-        ScalarVolume(data=out[:, :, :, np.newaxis], spacing=lbl.spacing[:3] + (1.0,)),
+        ScalarVolume(data=w[:, :, :, np.newaxis], spacing=lbl.spacing[:3] + (1.0,)),
         args.output,
     )
     return 0
@@ -142,14 +103,9 @@ def _cmd_loss(args) -> int:
     cfg = _config_from(args)
     loss_cfg = cfg.loss_config()
     probs_vol = load_volume(args.probs, "scalar")
-    lbl = load_volume(args.labels, "label")
-    lbl_data = lbl.data if lbl.data.ndim == 3 else lbl.data[:, :, :, 0]
+    lbl_data = _first_frame(load_volume(args.labels, "label"))
     p = np.moveaxis(probs_vol.data, 3, 0)  # class axis first
-    w = np.empty(lbl_data.shape, dtype=np.float64)
-    for z in range(lbl_data.shape[2]):
-        w[:, :, z] = build_weight_map(
-            lbl_data[:, :, z], dilate_iters=cfg["loss.dilate_iters"]
-        ).values
+    w = weight_map_volume(lbl_data, cfg["loss.dilate_iters"])
     ce = weighted_ce(p, lbl_data, w)
     dl = dice_loss(p, lbl_data, loss_cfg)
     total = loss_cfg.lam * ce + loss_cfg.gamma * dl + loss_cfg.eta * args.l2

@@ -9,6 +9,7 @@ statistics never leak into training.
 from __future__ import annotations
 
 import pickle
+from functools import partial
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -172,13 +173,13 @@ class EnsembleModel:
         return list(self.stage1)
 
 
-def _default_stage1(seed: int) -> Dict[str, object]:
-    return {
-        "SVM": RbfSvm(seed=seed),
-        "MLP": MLPClassifier(hidden=(100, 100), seed=seed),
-        "GNB": GaussianNB(),
-        "RF": RandomForest(n_trees=1000, seed=seed),
-    }
+# The stage-1 classifiers in voting order: name -> factory(seed, n_trees).
+_STAGE1 = {
+    "SVM": lambda seed, n_trees: RbfSvm(seed=seed),
+    "MLP": lambda seed, n_trees: MLPClassifier(hidden=(100, 100), seed=seed),
+    "GNB": lambda seed, n_trees: GaussianNB(),
+    "RF": lambda seed, n_trees: RandomForest(n_trees=n_trees, seed=seed),
+}
 
 
 def train_ensemble(
@@ -195,27 +196,22 @@ def train_ensemble(
     With ``mode="selected"`` only classifiers whose CV accuracy clears the
     selection threshold vote at prediction time.
     """
-    stage1 = _default_stage1(seed)
-    stage1["RF"] = RandomForest(n_trees=n_trees, seed=seed)
-
     prep = Preprocessor().fit(ds.X)
     Xt = prep.transform(ds.X)
 
+    stage1: Dict[str, object] = {}
     cv_acc: Dict[str, float] = {}
     min_per_class = min(np.bincount(np.searchsorted(np.unique(ds.y), ds.y)))
     k = min(cv_folds, int(min_per_class))
-    for name, clf in stage1.items():
+    for name, make in _STAGE1.items():
         if k >= 2:
-            factory = {
-                "SVM": lambda: RbfSvm(seed=seed),
-                "MLP": lambda: MLPClassifier(hidden=(100, 100), seed=seed),
-                "GNB": lambda: GaussianNB(),
-                "RF": lambda: RandomForest(n_trees=min(n_trees, 200), seed=seed),
-            }[name]
+            # cross-validation caps the forest at 200 trees
+            factory = partial(make, seed, min(n_trees, 200))
             cv_acc[name] = cross_validate(ds, factory, k=k, seed=seed).mean
         else:
             cv_acc[name] = float("nan")
-        clf.fit(Xt, ds.y)
+        stage1[name] = make(seed, n_trees)
+        stage1[name].fit(Xt, ds.y)
 
     selected: tuple = ()
     if mode == "selected":

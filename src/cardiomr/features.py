@@ -29,8 +29,6 @@ class PhaseLabels:
 
     ed: LabelVolume
     es: LabelVolume
-    height_cm: Optional[float] = None   # ingested but not featured
-    weight_kg: Optional[float] = None
 
     def __post_init__(self):
         if self.ed.dims != self.es.dims:

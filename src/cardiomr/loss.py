@@ -98,6 +98,15 @@ def build_weight_map(lbl: np.ndarray, dilate_iters: int = 1) -> WeightMap:
     )
 
 
+def weight_map_volume(labels: np.ndarray, dilate_iters: int = 1) -> np.ndarray:
+    """Slice-wise :func:`build_weight_map` values of a 3D label array."""
+    labels = np.asarray(labels)
+    out = np.empty(labels.shape, dtype=np.float64)
+    for z in range(labels.shape[2]):
+        out[:, :, z] = build_weight_map(labels[:, :, z], dilate_iters).values
+    return out
+
+
 def softmax(z: np.ndarray) -> np.ndarray:
     """Class-axis softmax of a (C, *spatial) logits field, max-stabilized."""
     z = np.asarray(z, dtype=np.float64)
@@ -150,7 +159,7 @@ def soft_dice_class(p_l: np.ndarray, g_l: np.ndarray, eps: float = 1e-5, two_fac
     return float((num + eps) / (denom + eps))
 
 
-def minibatch_class_weights(t: np.ndarray, n_classes: int | None = None) -> dict:
+def minibatch_class_weights(t: np.ndarray) -> dict:
     """Inverse-frequency weights |M| / |M_l| for classes present in ``t``.
 
     Absent classes are omitted (their weight would be undefined).
@@ -217,7 +226,6 @@ def total_loss_grad(
     p = softmax(z)
     _check_field(p, t)
 
-    n_classes = z.shape[0]
     onehot = np.zeros_like(p)
     np.put_along_axis(onehot, t[np.newaxis], 1.0, axis=0)
 

@@ -32,6 +32,16 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
+    @property
+    def dice(self) -> float:
+        denom = 2 * self.tp + self.fp + self.fn
+        return 1.0 if denom == 0 else 2 * self.tp / denom
+
+    @property
+    def jaccard(self) -> float:
+        denom = self.tp + self.fp + self.fn
+        return 1.0 if denom == 0 else self.tp / denom
+
 
 @dataclass(frozen=True)
 class Rates:
@@ -65,20 +75,12 @@ def dice(pred, gt) -> float:
     The both-empty convention is a vacuous match; batch aggregation flags
     and excludes such comparisons (see evaluate_case).
     """
-    c = confusion(pred, gt)
-    denom = 2 * c.tp + c.fp + c.fn
-    if denom == 0:
-        return 1.0
-    return 2 * c.tp / denom
+    return confusion(pred, gt).dice
 
 
 def jaccard(pred, gt) -> float:
     """Intersection over union; two empty masks score 1.0."""
-    c = confusion(pred, gt)
-    denom = c.tp + c.fp + c.fn
-    if denom == 0:
-        return 1.0
-    return c.tp / denom
+    return confusion(pred, gt).jaccard
 
 
 def rates(c: ConfusionCounts) -> Rates:
@@ -167,6 +169,8 @@ def evaluate_case(pred: LabelVolume, gt: LabelVolume) -> Dict[str, ClassMetrics]
         raise ValueError("prediction and ground truth schemas differ")
     if pred.dims != gt.dims:
         raise ValueError(f"dimension mismatch: {pred.dims} vs {gt.dims}")
+    if pred.spacing != gt.spacing:
+        raise ValueError(f"spacing mismatch: {pred.spacing} vs {gt.spacing}")
     out: Dict[str, ClassMetrics] = {}
     for cls in pred.schema.foreground_ids:
         p = pred.class_mask(cls)
@@ -178,9 +182,9 @@ def evaluate_case(pred: LabelVolume, gt: LabelVolume) -> Dict[str, ClassMetrics]
         except UndefinedDistanceError:
             hd = None
         out[pred.schema.name_of(cls)] = ClassMetrics(
-            dice=dice(p, g), jaccard=jaccard(p, g),
+            dice=c.dice, jaccard=c.jaccard,
             tpr=r.tpr, spc=r.spc, ppv=r.ppv, npv=r.npv,
-            hd_mm=hd, vacuous=not p.any() and not g.any(),
+            hd_mm=hd, vacuous=c.tp + c.fp + c.fn == 0,
         )
     return out
 

@@ -80,13 +80,11 @@ def heart_slice(
     if wall_of_angle is None:
         myo = annulus_mask(shape, lv_center, lv_radius, lv_radius + wall_px)
     else:
-        outer = lv_radius + max(wall_of_angle(np.linspace(-np.pi, np.pi, 720)))
         xs, ys = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]), indexing="ij")
         dx, dy = xs - lv_center[0], ys - lv_center[1]
         d = np.hypot(dx, dy)
         ang = np.arctan2(dy, dx)
         myo = (d > lv_radius) & (d <= lv_radius + wall_of_angle(ang))
-        del outer
     lbl[myo] = ACDC_SCHEMA.id_of("MYO")
     lbl[disk_mask(shape, lv_center, lv_radius)] = ACDC_SCHEMA.id_of("LV")
     return lbl

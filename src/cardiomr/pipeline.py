@@ -31,7 +31,9 @@ ENV_PREFIX = "CARDIOMR_"
 
 # key -> (converter, default); the single source of truth for config files,
 # environment overrides and CLI defaults
-_BOOL = lambda s: str(s).strip().lower() in ("1", "true", "yes", "on")
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+_BOOL = lambda s: _BOOL_WORDS[str(s).strip().lower()]  # KeyError: not a boolean word
 CONFIG_SCHEMA = {
     "roi.radius_min": (int, 10),
     "roi.radius_max": (int, 40),
@@ -127,7 +129,7 @@ def _convert(key: str, value):
     conv = CONFIG_SCHEMA[key][0]
     try:
         return conv(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, KeyError):
         raise ConfigError(f"bad value for {key!r}: {value!r}") from None
 
 
@@ -148,34 +150,120 @@ def parse_config_file(path) -> dict:
 
 
 def probs_to_labels(prob_volume: ScalarVolume, schema=None) -> LabelVolume:
-    """Argmax a per-class probability volume (class on the t axis)."""
+    """Argmax a per-class probability volume (class on the t axis).
+
+    Raises ValueError when any probability is NaN, whose class argmax
+    would otherwise pick.
+    """
+    if np.isnan(prob_volume.data).any():
+        raise ValueError("probability volume contains NaN")
     data = np.argmax(prob_volume.data, axis=3).astype(np.uint8)
     kwargs = {"schema": schema} if schema is not None else {}
     return LabelVolume(data=data, spacing=prob_volume.spacing[:3], **kwargs)
 
 
-def roi_center(cine: ScalarVolume, cfg: RoiConfig) -> tuple:
-    """ROI center of a cine and the fallback taken, if any.
+def roi_stage(cine_path, cfg: RoiConfig, patch_path=None) -> dict:
+    """Load a cine, locate its ROI and crop the patch around it.
 
-    Returns ``(center, None)`` with the :func:`locate_roi` center, or
-    ``((nx // 2, ny // 2), "image_center")`` when no slice yields a Hough
-    circle (a static cine, say).
+    Saves the patch to ``patch_path`` when given and returns
+    ``{"center", "patch_size"}``. When no slice yields a Hough circle (a
+    static cine, say), the center falls back to ``(nx // 2, ny // 2)`` and
+    the entry gains ``"fallback": "image_center"``.
     """
+    cine = load_volume(cine_path, "scalar")
+    entry = {"patch_size": list(cfg.patch_size)}
     try:
-        return locate_roi(cine, cfg).roi_center, None
+        center = locate_roi(cine, cfg).roi_center
     except RoiLocateError:
-        return (cine.dims[0] // 2, cine.dims[1] // 2), "image_center"
+        center = (cine.dims[0] // 2, cine.dims[1] // 2)
+        entry["fallback"] = "image_center"
+    entry["center"] = list(center)
+    patch = crop_patch(cine, center, cfg.patch_size)
+    if patch_path is not None:
+        save_volume(ScalarVolume(data=patch.data, spacing=cine.spacing), patch_path)
+    return entry
 
 
-def _load_phase_labels(seg_path, probs_path, kind_name: str):
+def _load_phase_labels(seg_path, probs_path):
     if seg_path is not None:
         vol = load_volume(seg_path, "label")
         if vol.data.ndim == 4:
-            raise PipelineError(kind_name, f"{seg_path}: expected a 3D label volume")
+            raise ValueError(f"{seg_path}: expected a 3D label volume")
         return vol
     if probs_path is not None:
         return probs_to_labels(load_volume(probs_path, "scalar"))
     return None
+
+
+# Stages read and write one per-case state dict and return their report
+# entry, or None when they do not apply to the case.
+
+
+def _roi_stage(s: dict) -> dict:
+    entry = roi_stage(s["cine"], s["config"].roi_config(), s["out_dir"] / "roi_patch.vol")
+    entry["patch"] = "roi_patch.vol"
+    return entry
+
+
+def _segmentation_stage(s: dict) -> dict:
+    s["ed"] = _load_phase_labels(s["seg_ed"], s["probs_ed"])
+    s["es"] = _load_phase_labels(s["seg_es"], s["probs_es"])
+    if s["ed"] is None and s["es"] is None:
+        raise ValueError("no segmentation provided (need labels or probabilities)")
+    return {"ed_provided": s["ed"] is not None, "es_provided": s["es"] is not None}
+
+
+def _postproc_stage(s: dict) -> dict:
+    cfg = s["config"]
+    entry = {}
+    for phase in ("ed", "es"):
+        if s[phase] is not None:
+            s[phase] = postprocess_labels(
+                s[phase],
+                skip_3d=cfg["postproc.skip_3d"],
+                skip_2d=cfg["postproc.skip_2d"],
+                skip_fill=cfg["postproc.skip_fill"],
+            )
+            entry[phase] = f"labels_{phase}_clean.vol"
+            save_volume(s[phase], s["out_dir"] / entry[phase])
+    return entry
+
+
+def _metrics_stage(s: dict) -> dict | None:
+    entry = {}
+    for phase in ("ed", "es"):
+        if s[f"gt_{phase}"] is not None and s[phase] is not None:
+            gt = load_volume(s[f"gt_{phase}"], "label")
+            case = metrics_mod.evaluate_case(s[phase], gt)
+            entry[phase.upper()] = {name: m.as_dict() for name, m in case.items()}
+    return entry or None
+
+
+def _features_stage(s: dict) -> dict:
+    if s["ed"] is None or s["es"] is None:
+        missing = "ES" if s["es"] is None else "ED"
+        raise ValueError(f"feature extraction needs both phases; {missing} volume is missing")
+    s["record"] = extract_features(
+        PhaseLabels(ed=s["ed"], es=s["es"]), density=s["config"]["features.density"]
+    )
+    return {name: getattr(s["record"], name) for name in FEATURE_NAMES}
+
+
+def _predict_stage(s: dict) -> dict | None:
+    if s["model_path"] is None:
+        return None
+    label, audit = predict_two_stage(load_model(s["model_path"]), s["record"])
+    return {"label": label, "audit": audit}
+
+
+_STAGES = (
+    ("roi", _roi_stage),
+    ("segmentation", _segmentation_stage),
+    ("postproc", _postproc_stage),
+    ("metrics", _metrics_stage),
+    ("features", _features_stage),
+    ("predict", _predict_stage),
+)
 
 
 def run_pipeline(
@@ -200,106 +288,20 @@ def run_pipeline(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {"schema": 1, "config": dict(sorted(config.values.items())), "stages": {}}
-
-    def artifact(name):
-        return out_dir / name, name
-
-    # roi
-    try:
-        cine = load_volume(cine_path, "scalar")
-        roi_cfg = config.roi_config()
-        center, fallback = roi_center(cine, roi_cfg)
-        patch = crop_patch(cine, center, roi_cfg.patch_size)
-        patch_path, patch_rel = artifact("roi_patch.vol")
-        save_volume(ScalarVolume(data=patch.data, spacing=cine.spacing), patch_path)
-        report["stages"]["roi"] = {
-            "center": list(center),
-            "patch_size": list(roi_cfg.patch_size),
-            "patch": patch_rel,
-        }
-        if fallback:
-            report["stages"]["roi"]["fallback"] = fallback
-    except Exception as exc:  # noqa: BLE001 - stage boundary
-        raise PipelineError("roi", str(exc)) from exc
-
-    # segmentation hand-off
-    try:
-        ed = _load_phase_labels(seg_ed, probs_ed, "segmentation")
-        es = _load_phase_labels(seg_es, probs_es, "segmentation")
-        if ed is None and es is None:
-            raise ValueError("no segmentation provided (need labels or probabilities)")
-        report["stages"]["segmentation"] = {
-            "ed_provided": ed is not None,
-            "es_provided": es is not None,
-        }
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError("segmentation", str(exc)) from exc
-
-    # postprocess
-    try:
-        pp = config.values
-        kwargs = dict(
-            skip_3d=pp["postproc.skip_3d"],
-            skip_2d=pp["postproc.skip_2d"],
-            skip_fill=pp["postproc.skip_fill"],
-        )
-        stage = {}
-        if ed is not None:
-            ed = postprocess_labels(ed, **kwargs)
-            path, rel = artifact("labels_ed_clean.vol")
-            save_volume(ed, path)
-            stage["ed"] = rel
-        if es is not None:
-            es = postprocess_labels(es, **kwargs)
-            path, rel = artifact("labels_es_clean.vol")
-            save_volume(es, path)
-            stage["es"] = rel
-        report["stages"]["postproc"] = stage
-    except Exception as exc:
-        raise PipelineError("postproc", str(exc)) from exc
-
-    # metrics (only when ground truth is given)
-    try:
-        gt_pairs = []
-        if gt_ed is not None and ed is not None:
-            gt_pairs.append(("ED", ed, load_volume(gt_ed, "label")))
-        if gt_es is not None and es is not None:
-            gt_pairs.append(("ES", es, load_volume(gt_es, "label")))
-        if gt_pairs:
-            stage = {}
-            for phase, pred, gt in gt_pairs:
-                case = metrics_mod.evaluate_case(pred, gt)
-                stage[phase] = {name: m.as_dict() for name, m in case.items()}
-            report["stages"]["metrics"] = stage
-    except Exception as exc:
-        raise PipelineError("metrics", str(exc)) from exc
-
-    # features
-    try:
-        if ed is None or es is None:
-            missing = "ES" if es is None else "ED"
-            raise ValueError(
-                f"feature extraction needs both phases; {missing} volume is missing"
-            )
-        record = extract_features(
-            PhaseLabels(ed=ed, es=es), density=config["features.density"]
-        )
-        report["stages"]["features"] = {
-            name: getattr(record, name) for name in FEATURE_NAMES
-        }
-    except Exception as exc:
-        raise PipelineError("features", str(exc)) from exc
-
-    # predict
-    if model_path is not None:
+    state = dict(
+        cine=cine_path, out_dir=out_dir, config=config, model_path=model_path,
+        seg_ed=seg_ed, seg_es=seg_es, probs_ed=probs_ed, probs_es=probs_es,
+        gt_ed=gt_ed, gt_es=gt_es,
+    )
+    for name, stage in _STAGES:
         try:
-            model = load_model(model_path)
-            label, audit = predict_two_stage(model, record)
-            report["stages"]["predict"] = {"label": label, "audit": audit}
-        except Exception as exc:
-            raise PipelineError("predict", str(exc)) from exc
+            entry = stage(state)
+        except PipelineError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - stage boundary
+            raise PipelineError(name, str(exc)) from exc
+        if entry is not None:
+            report["stages"][name] = entry
 
     report_path = out_dir / "report.json"
     report_path.write_text(dumps_report(report))

@@ -78,40 +78,41 @@ def keep_largest(mask: np.ndarray, connectivity: int) -> np.ndarray:
     return comp.labels == best_id
 
 
+def _holes(background: np.ndarray) -> tuple:
+    """4-connected components of a 2D background mask and which are holes.
+
+    Returns ``(labels, enclosed)``: ``enclosed[i]`` is True when component
+    ``i`` does not touch the slice border (``enclosed[0]``, the foreground,
+    is False).
+    """
+    labels, n = ndimage.label(background, structure=_STRUCTURES[(2, 4)])
+    enclosed = np.arange(n + 1) > 0
+    if n:
+        for edge in (labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]):
+            enclosed[edge] = False
+    return labels, enclosed
+
+
 def fill_holes(mask: np.ndarray) -> np.ndarray:
     """Fill 2D background regions not 4-connected to the slice border."""
     mask = np.asarray(mask).astype(bool)
     if mask.ndim != 2:
         raise ValueError("fill_holes expects a 2D mask")
-    bg = connected_components(~mask, connectivity=4)
-    out = mask.copy()
-    border_ids = set()
-    labels = bg.labels
-    for edge in (labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]):
-        border_ids.update(int(v) for v in np.unique(edge) if v > 0)
-    for comp_id, _ in bg.sizes:
-        if comp_id not in border_ids:
-            out[labels == comp_id] = True
-    return out
+    labels, enclosed = _holes(~mask)
+    return mask | enclosed[labels]
 
 
 def _fill_holes_class_aware(lbl: np.ndarray, priority) -> np.ndarray:
-    """Assign enclosed background regions the highest-priority adjacent class."""
+    """Assign enclosed background regions the highest-priority adjacent class.
+
+    Holes are filled one by one; the order cannot matter, because a ring
+    voxel of one hole lying in another would make the two 4-adjacent.
+    """
     out = lbl.copy()
-    bg = connected_components(out == 0, connectivity=4)
-    if not bg.sizes:
-        return out
-    labels = bg.labels
-    border_ids = set()
-    for edge in (labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]):
-        border_ids.update(int(v) for v in np.unique(edge) if v > 0)
-    for comp_id, _ in bg.sizes:
-        if comp_id in border_ids:
-            continue
-        hole = labels == comp_id
-        ring = ndimage.binary_dilation(
-            hole, structure=ndimage.generate_binary_structure(2, 1)
-        ) & ~hole
+    labels, enclosed = _holes(out == 0)
+    for hole_id in np.flatnonzero(enclosed):
+        hole = labels == hole_id
+        ring = ndimage.binary_dilation(hole, structure=_STRUCTURES[(2, 4)]) & ~hole
         adjacent = set(int(v) for v in np.unique(out[ring]) if v > 0)
         for cls in priority:
             if cls in adjacent:
@@ -126,8 +127,6 @@ def postprocess_labels(
     skip_3d: bool = False,
     skip_2d: bool = False,
     skip_fill: bool = False,
-    connectivity_3d: int = 26,
-    connectivity_2d: int = 8,
 ):
     """Clean a multi-class label volume.
 
@@ -173,7 +172,7 @@ def postprocess_labels(
                 mask = data == cls
                 if not mask.any():
                     continue
-                drop = mask & ~keep_largest(mask, connectivity_3d)
+                drop = mask & ~keep_largest(mask, 26)
                 if drop.any():
                     data[drop] = 0
                     changed = True
@@ -183,7 +182,7 @@ def postprocess_labels(
                     mask = data[:, :, z] == cls
                     if not mask.any():
                         continue
-                    drop = mask & ~keep_largest(mask, connectivity_2d)
+                    drop = mask & ~keep_largest(mask, 8)
                     if drop.any():
                         data[:, :, z][drop] = 0
                         changed = True

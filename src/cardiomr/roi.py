@@ -16,7 +16,7 @@ from typing import List
 import numpy as np
 from scipy import fft, ndimage
 
-from .volume import ScalarVolume, crop_patch
+from .volume import ScalarVolume
 
 
 class RoiLocateError(RuntimeError):
@@ -334,10 +334,3 @@ def locate_roi(v: ScalarVolume, cfg: RoiConfig | None = None) -> HoughResult:
         circles_per_slice=per_slice, surface=surface, roi_center=(int(cx), int(cy))
     )
 
-
-def extract_roi_patch(v: ScalarVolume, cfg: RoiConfig | None = None) -> tuple:
-    """Locate the ROI and crop the configured patch around it."""
-    cfg = cfg or RoiConfig()
-    result = locate_roi(v, cfg)
-    patch = crop_patch(v, result.roi_center, cfg.patch_size)
-    return result, patch

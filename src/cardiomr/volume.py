@@ -150,17 +150,12 @@ class Patch:
     data: np.ndarray
     center: tuple
     size: tuple
-    source: object  # the (immutable) ScalarVolume or LabelVolume it came from
     spacing: tuple
     kind: str = "scalar"  # "scalar" or "label"
 
     def __post_init__(self):
         if self.size[0] <= 0 or self.size[1] <= 0:
             raise ValueError("patch size must be positive")
-
-    @property
-    def source_dims(self) -> tuple:
-        return self.source.dims
 
 
 def _parse_header(raw: bytes, path):
@@ -333,7 +328,6 @@ def crop_patch(v, center, size) -> Patch:
         data=out,
         center=(cx, cy),
         size=(w, h),
-        source=v,
         spacing=v.spacing,
         kind=kind,
     )

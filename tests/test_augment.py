@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from cardiomr.augment import AugmentParams, apply_augment, flip_pair, sample_params
+from cardiomr.augment import (
+    AugmentParams,
+    apply_augment,
+    augment_volume,
+    flip_pair,
+    sample_params,
+)
 from cardiomr.phantoms import disk_mask
+from cardiomr.volume import LabelVolume, ScalarVolume
 
 
 @pytest.fixture
@@ -105,3 +112,36 @@ class TestFlips:
         bi, bl = flip_pair(fi, fl, horizontal=True, vertical=True)
         assert np.array_equal(bi, img)
         assert np.array_equal(bl, lbl)
+
+
+class TestAugmentVolume:
+    @pytest.fixture
+    def volumes(self):
+        rng = np.random.default_rng(1)
+        vol = ScalarVolume(data=rng.random((20, 18, 2, 3)), spacing=(1.5, 1.2, 8.0, 1.0))
+        lbl4 = LabelVolume(data=rng.integers(0, 4, (20, 18, 2, 3)).astype(np.uint8),
+                           spacing=(1.5, 1.2, 8.0, 1.0))
+        return vol, lbl4
+
+    def test_every_slice_matches_apply_augment(self, volumes):
+        vol, lbl4 = volumes
+        p = sample_params(11)
+        img, lbl = augment_volume(vol, lbl4, p, (True, False))
+        for z in range(2):
+            for t in range(3):
+                want_img, want_lbl = flip_pair(*apply_augment(
+                    vol.data[:, :, z, t], lbl4.data[:, :, z, t], p, (1.5, 1.2)), True, False)
+                assert np.array_equal(img.data[:, :, z, t], want_img)
+                assert np.array_equal(lbl.data[:, :, z, t], want_lbl)
+        assert img.spacing == vol.spacing and lbl.spacing == lbl4.spacing
+
+    def test_3d_labels_shared_by_every_frame(self, volumes):
+        vol, lbl4 = volumes
+        lbl3 = LabelVolume(data=lbl4.data[:, :, :, 0], spacing=(1.5, 1.2, 8.0))
+        p = sample_params(12)
+        img, lbl = augment_volume(vol, lbl3, p)
+        for z in range(2):
+            _, want = apply_augment(vol.data[:, :, z, 0], lbl3.data[:, :, z], p, (1.5, 1.2))
+            assert np.array_equal(lbl.data[:, :, z], want)
+        assert np.array_equal(augment_volume(vol, None, p)[0].data, img.data)
+        assert augment_volume(vol, None, p)[1] is None

@@ -191,6 +191,12 @@ class TestEvaluateCase:
         assert table["RV"].hd_mm is None
         assert table["RV"].dice == 0.0
 
+    def test_spacing_mismatch_rejected(self):
+        vol = self._volumes()
+        other = LabelVolume(data=vol.data, spacing=(1.0, 1.0, 8.0))
+        with pytest.raises(ValueError, match="spacing mismatch"):
+            evaluate_case(other, vol)
+
     def test_batch_of_identical_cases_zero_std(self):
         vol = self._volumes()
         cases = [evaluate_case(vol, vol), evaluate_case(vol, vol)]

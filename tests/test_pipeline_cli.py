@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -88,6 +89,21 @@ class TestConfig:
         assert cfg["postproc.skip_fill"] is True
         assert cfg["loss.dice_two_factor"] is False
 
+    def test_bool_words(self):
+        words = {" YES ": True, "On": True, "1": True, True: True,
+                 "no": False, "OFF\t": False, "0": False, False: False}
+        for word, value in words.items():
+            assert PipelineConfig(values={"postproc.skip_3d": word})["postproc.skip_3d"] is value
+
+    @pytest.mark.parametrize("word", ["ture", "", "2", "enabled"])
+    def test_unknown_bool_word_rejected(self, tmp_path, word):
+        f = tmp_path / "c.cfg"
+        f.write_text(f"postproc.skip_3d = {word}\n")
+        with pytest.raises(ConfigError, match="postproc.skip_3d"):
+            PipelineConfig.load(path=f, env={})
+        with pytest.raises(ConfigError, match="postproc.skip_fill"):
+            PipelineConfig.load(env={"CARDIOMR_POSTPROC_SKIP_FILL": word})
+
     def test_bad_value_reports_key(self):
         with pytest.raises(ConfigError, match="roi.top_p"):
             PipelineConfig(values={"roi.top_p": "many"})
@@ -104,8 +120,64 @@ class TestProbsToLabels:
         assert lbl.data[0, 0, 0] == 1
         assert lbl.data[2, 2, 0] == 3
 
+    def test_nan_rejected(self):
+        # ScalarVolume itself refuses non-finite data, so the NaN arrives
+        # through another array-backed volume
+        probs = np.full((4, 4, 1, 4), 0.25)
+        probs[1, 2, 0, 3] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            probs_to_labels(SimpleNamespace(data=probs, spacing=(1, 1, 1, 1)))
+
+
+def _missing_cine(case, tmp):
+    return {"cine": tmp / "missing.vol"}
+
+
+def _no_labels(case, tmp):
+    return {"seg_ed": None, "seg_es": None}
+
+
+def _labels_4d(case, tmp):
+    ed = load_volume(case / "ed.vol", "label")
+    save_volume(LabelVolume(data=np.stack([ed.data, ed.data], axis=3),
+                            spacing=ed.spacing + (1.0,)), tmp / "ed4.vol")
+    return {"seg_ed": tmp / "ed4.vol"}
+
+
+def _gt_other_spacing(case, tmp):
+    ed = load_volume(case / "ed.vol", "label")
+    save_volume(LabelVolume(data=ed.data, spacing=tuple(2 * s for s in ed.spacing)),
+                tmp / "gt.vol")
+    return {"gt_ed": tmp / "gt.vol"}
+
+
+def _no_es(case, tmp):
+    return {"seg_es": None}
+
+
+def _not_a_model(case, tmp):
+    (tmp / "model.pkl").write_text("not a model\n")
+    return {"model_path": tmp / "model.pkl"}
+
 
 class TestRunPipeline:
+    @pytest.mark.parametrize("stage, breaks", [
+        ("roi", _missing_cine),
+        ("segmentation", _no_labels),
+        ("segmentation", _labels_4d),
+        ("metrics", _gt_other_spacing),
+        ("features", _no_es),
+        ("predict", _not_a_model),
+    ], ids=lambda v: getattr(v, "__name__", v))
+    def test_broken_input_names_its_stage(self, case, tmp_path, stage, breaks):
+        kwargs = dict(cine=case / "cine.vol", seg_ed=case / "ed.vol", seg_es=case / "es.vol")
+        kwargs.update(breaks(case, tmp_path))
+        cine = kwargs.pop("cine")
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(cine, tmp_path / "out", **kwargs)
+        assert err.value.stage == stage
+        assert str(err.value).startswith(f"stage '{stage}' failed: ")
+
     def test_phantom_case_full_report(self, case, tmp_path):
         report = run_pipeline(
             case / "cine.vol", tmp_path / "out",
@@ -292,7 +364,7 @@ class TestCli:
         assert info["output_shape"] == [4, 128, 128]
         assert (tmp_path / "net.dot").read_text().startswith("digraph")
 
-    def test_pipeline_subcommand_exit_codes(self, case, tmp_path):
+    def test_pipeline_subcommand_exit_codes(self, case, tmp_path, capsys):
         rc = main([
             "pipeline", "--input", str(case / "cine.vol"),
             "--seg-ed", str(case / "ed.vol"), "--seg-es", str(case / "es.vol"),
@@ -304,7 +376,8 @@ class TestCli:
             "--seg-ed", str(case / "ed.vol"),
             "--out-dir", str(tmp_path / "fail"),
         ])
-        assert rc != 0
+        assert rc == 3
+        assert "error: stage 'features' failed: " in capsys.readouterr().err
 
     def test_augment_subcommand_sidecars(self, case, tmp_path):
         out = tmp_path / "aug"

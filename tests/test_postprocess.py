@@ -2,9 +2,11 @@ from collections import deque
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from cardiomr.phantoms import annulus_mask, disk_mask
 from cardiomr.postprocess import (
+    _fill_holes_class_aware,
     connected_components,
     fill_holes,
     keep_largest,
@@ -45,6 +47,84 @@ def flood_fill_label(mask, connectivity):
                             labels[nb] = next_id
                             queue.append(nb)
     return labels
+
+
+def reference_fill_holes(mask):
+    """Hole fill one raster-ordered background component at a time (oracle)."""
+    mask = np.asarray(mask).astype(bool)
+    bg = connected_components(~mask, connectivity=4)
+    out = mask.copy()
+    border_ids = set()
+    labels = bg.labels
+    for edge in (labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]):
+        border_ids.update(int(v) for v in np.unique(edge) if v > 0)
+    for comp_id, _ in bg.sizes:
+        if comp_id not in border_ids:
+            out[labels == comp_id] = True
+    return out
+
+
+def reference_fill_holes_class_aware(lbl, priority):
+    """Class-aware hole fill over raster-ordered background components (oracle)."""
+    out = lbl.copy()
+    bg = connected_components(out == 0, connectivity=4)
+    if not bg.sizes:
+        return out
+    labels = bg.labels
+    border_ids = set()
+    for edge in (labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]):
+        border_ids.update(int(v) for v in np.unique(edge) if v > 0)
+    for comp_id, _ in bg.sizes:
+        if comp_id in border_ids:
+            continue
+        hole = labels == comp_id
+        ring = ndimage.binary_dilation(
+            hole, structure=ndimage.generate_binary_structure(2, 1)
+        ) & ~hole
+        adjacent = set(int(v) for v in np.unique(out[ring]) if v > 0)
+        for cls in priority:
+            if cls in adjacent:
+                out[hole] = cls
+                break
+    return out
+
+
+HOLE_SHAPES = [(1, 1), (1, 9), (8, 1), (2, 3), (5, 5), (12, 12), (17, 23)]
+
+
+def random_label_slices(seed, n):
+    """Seeded label slices from all-background to all-foreground."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        shape = HOLE_SHAPES[i % len(HOLE_SHAPES)]
+        bg = (0.0, 1.0, 0.1, 0.25, 0.4, 0.6)[i % 6]
+        yield rng.choice(4, size=shape, p=[bg] + [(1 - bg) / 3] * 3).astype(np.uint8)
+
+
+class TestHoleFillMatchesReference:
+    def test_fill_holes(self):
+        filled = 0
+        for lbl in random_label_slices(5, 700):
+            out = fill_holes(lbl > 0)
+            assert np.array_equal(out, reference_fill_holes(lbl > 0))
+            filled += int(out.sum() - (lbl > 0).sum())
+        assert filled > 100  # the slices do hold holes
+
+    @pytest.mark.parametrize("priority", [[3, 2, 1], [1, 3, 2]])
+    def test_class_aware(self, priority):
+        filled = 0
+        for lbl in random_label_slices(6, 700):
+            out = _fill_holes_class_aware(lbl, priority)
+            assert np.array_equal(out, reference_fill_holes_class_aware(lbl, priority))
+            filled += int(np.count_nonzero(out != lbl))
+        assert filled > 100
+
+    def test_zero_size_slices(self):
+        for shape in [(0, 5), (4, 0)]:
+            lbl = np.zeros(shape, dtype=np.uint8)
+            out = _fill_holes_class_aware(lbl, [3, 2, 1])
+            assert np.array_equal(out, reference_fill_holes_class_aware(lbl, [3, 2, 1]))
+            assert fill_holes(lbl > 0).shape == shape
 
 
 class TestConnectedComponents:
