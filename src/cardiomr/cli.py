@@ -192,24 +192,33 @@ def _cmd_features(args) -> int:
     return 0
 
 
-def _read_features_csv(path):
+def _read_csv(path, *columns):
+    """Rows of a CSV file; ValueError names any required column it lacks."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        ids, records = [], []
-        for row in reader:
-            ids.append(row["case_id"])
-            vec = [
-                float(row[name]) if row.get(name, "") != "" else np.nan
-                for name in FEATURE_NAMES
-            ]
-            records.append(FeatureRecord.from_vector(np.array(vec)))
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing column(s): {', '.join(missing)}")
+        return list(reader)
+
+
+def _read_features_csv(path):
+    ids, records = [], []
+    for row in _read_csv(path, "case_id"):
+        ids.append(row["case_id"])
+        vec = [
+            float(row[name]) if row.get(name, "") != "" else np.nan
+            for name in FEATURE_NAMES
+        ]
+        records.append(FeatureRecord.from_vector(np.array(vec)))
     return ids, records
 
 
 def _cmd_train_clf(args) -> int:
     ids, records = _read_features_csv(args.features)
-    with open(args.labels, newline="") as fh:
-        label_of = {row["case_id"]: row["label"] for row in csv.DictReader(fh)}
+    label_of = {
+        row["case_id"]: row["label"] for row in _read_csv(args.labels, "case_id", "label")
+    }
     missing = [i for i in ids if i not in label_of]
     if missing:
         print(f"error: no label for case(s): {missing}", file=sys.stderr)

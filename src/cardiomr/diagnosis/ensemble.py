@@ -223,7 +223,7 @@ def train_ensemble(
     if expert_mask.sum() >= 2 and len(np.unique(ds.y[expert_mask])) == 2:
         expert_ds = ds.subset(np.flatnonzero(expert_mask)).columns(ES_MWT_FEATURES)
         expert_prep = Preprocessor().fit(expert_ds.X)
-        expert = MLPClassifier(hidden=(100, 100), seed=seed)
+        expert = _STAGE1["MLP"](seed, n_trees)
         expert.fit(expert_prep.transform(expert_ds.X), expert_ds.y)
 
     return EnsembleModel(

@@ -18,6 +18,7 @@ from scipy import ndimage
 
 from .loss import class_contour
 from .postprocess import fill_holes
+from .roi import canny_reach, nonzero_window
 from .volume import LabelVolume
 
 MYOCARDIUM_DENSITY_G_PER_ML = 1.05  # standard clinical constant
@@ -182,6 +183,10 @@ def mwt_per_slice(lbl_slice: np.ndarray, spacing, myo_id: int = 2) -> Optional[M
     myo = lbl_slice == myo_id
     if not myo.any():
         return None
+    # every region below lies in MYO's bounding box; the margin is the one
+    # the contours' Canny windows need, so the crop changes no bit
+    wx, wy = nonzero_window(myo, canny_reach(1.0) + 1)
+    myo = myo[wx, wy]
     epi_region = fill_holes(myo)
     cavity = epi_region & ~myo
     if not cavity.any():
@@ -190,9 +195,12 @@ def mwt_per_slice(lbl_slice: np.ndarray, spacing, myo_id: int = 2) -> Optional[M
     interior = region_contour(cavity)
     if not exterior.any() or not interior.any():
         return None
+    # whole-slice indices before scaling: the same integers times the same
+    # spacing as without the crop
+    offset = np.array([wx.start, wy.start])
     scale = np.asarray(spacing[:2], dtype=np.float64)
-    e_pts = np.argwhere(exterior) * scale
-    i_pts = np.argwhere(interior) * scale
+    e_pts = (np.argwhere(exterior) + offset) * scale
+    i_pts = (np.argwhere(interior) + offset) * scale
     d2 = ((i_pts[:, None, :] - e_pts[None, :, :]) ** 2).sum(axis=2)
     return MwtSlice(z=-1, thickness_mm=np.sqrt(d2.min(axis=1)))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .roi import canny_edges
+from .roi import canny_edges, canny_reach, nonzero_window
 
 PROB_FLOOR = 1e-12  # floor inside log(); occurrences are reported
 
@@ -56,11 +56,18 @@ def class_contour(mask: np.ndarray, dilate_iters: int = 1) -> np.ndarray:
     with the mask so contour sets stay subsets of their class.
     """
     mask = np.asarray(mask).astype(bool)
-    edges = canny_edges(mask.astype(np.float64), 1.0, 0.1, 0.2)
+    # edges lie within Canny's reach of the mask and grow by the dilation;
+    # the kernels run on that window, and every voxel outside it is False
+    dilate_iters = max(dilate_iters, 0)
+    win = nonzero_window(mask, canny_reach(1.0) + dilate_iters)
+    inside = mask[win]
+    edges = canny_edges(inside.astype(np.float64), 1.0, 0.1, 0.2)
     if dilate_iters > 0:
         cross = ndimage.generate_binary_structure(2, 1)
         edges = ndimage.binary_dilation(edges, structure=cross, iterations=dilate_iters)
-    return edges & mask
+    out = np.zeros(mask.shape, dtype=bool)
+    out[win] = edges & inside
+    return out
 
 
 def build_weight_map(lbl: np.ndarray, dilate_iters: int = 1) -> WeightMap:

@@ -15,6 +15,7 @@ from typing import List, Tuple
 import numpy as np
 from scipy import ndimage
 
+from .roi import nonzero_window
 from .volume import LabelVolume
 
 _STRUCTURES = {
@@ -70,12 +71,28 @@ def connected_components(mask: np.ndarray, connectivity: int) -> ComponentLabeli
 
 
 def keep_largest(mask: np.ndarray, connectivity: int) -> np.ndarray:
-    """Keep only the largest component; ties keep the earliest raster one."""
-    comp = connected_components(mask, connectivity)
-    if not comp.sizes:
-        return np.zeros_like(np.asarray(mask), dtype=bool)
-    best_id = max(comp.sizes, key=lambda s: (s[1], -s[0]))[0]
-    return comp.labels == best_id
+    """Keep only the largest component; ties keep the earliest raster one.
+
+    Components are counted as labeled, without renumbering; only a tie for
+    largest looks for the id whose first voxel comes first in C order.
+    """
+    mask = np.asarray(mask).astype(bool)
+    structure = _structure(mask.ndim, connectivity)
+    out = np.zeros(mask.shape, dtype=bool)
+    # every component lies in the bounding box, and translation keeps the
+    # C order of first voxels
+    win = nonzero_window(mask, 0)
+    raw, n = ndimage.label(mask[win], structure=structure)
+    if n == 0:
+        return out
+    sizes = np.bincount(raw.ravel(order="K"), minlength=n + 1)[1:]
+    tied = np.flatnonzero(sizes == sizes.max()) + 1
+    best_id = tied[0]
+    if tied.size > 1:
+        flat = raw.ravel()
+        best_id = flat[np.argmax(np.isin(flat, tied))]
+    out[win] = raw == best_id
+    return out
 
 
 def _holes(background: np.ndarray) -> tuple:

@@ -121,6 +121,41 @@ _NMS_OFFSETS = np.array(
 )
 
 
+def canny_reach(sigma: float) -> int:
+    """How far outside an image's non-zero support ``canny_edges`` can see it.
+
+    ``int(4 * sigma + 0.5)`` is the radius of scipy's Gaussian (truncate=4);
+    Sobel reads one pixel further and non-maximum suppression one more.
+    Run on a window whose margin around the support is at least this reach,
+    ``canny_edges`` gives the same bits as on the whole image: the window's
+    ``mode="nearest"`` borders then see the zeros the whole image has there.
+    """
+    return int(4 * sigma + 0.5) + 2
+
+
+def nonzero_window(mask: np.ndarray, margin: int) -> tuple:
+    """``(x, y)`` slices of the non-zero bounding box of a 2D or 3D array.
+
+    A 3D array's box covers its support over every slice. The box grows by
+    ``margin`` on each side and is clipped to the array; it is empty (two
+    zero-length slices) when the array has no non-zero value.
+    """
+    plane = np.asarray(mask)
+    if plane.ndim == 3:
+        plane = plane.any(axis=2)
+    elif plane.ndim != 2:
+        raise ValueError("nonzero_window expects a 2D or 3D array")
+    xs = np.flatnonzero(plane.any(axis=1))
+    if xs.size == 0:
+        return slice(0, 0), slice(0, 0)
+    ys = np.flatnonzero(plane.any(axis=0))
+    nx, ny = plane.shape
+    return (
+        slice(max(int(xs[0]) - margin, 0), min(int(xs[-1]) + margin + 1, nx)),
+        slice(max(int(ys[0]) - margin, 0), min(int(ys[-1]) + margin + 1, ny)),
+    )
+
+
 def canny_edges(image: np.ndarray, sigma: float, low: float, high: float) -> np.ndarray:
     """Canny edge detection; thresholds are fractions of the gradient maximum.
 
@@ -140,7 +175,7 @@ def canny_edges(image: np.ndarray, sigma: float, low: float, high: float) -> np.
     gx = ndimage.sobel(smooth, axis=0, mode="nearest")
     gy = ndimage.sobel(smooth, axis=1, mode="nearest")
     gmag = np.hypot(gx, gy)
-    gmax = gmag.max()
+    gmax = gmag.max(initial=0.0)
     if gmax <= 0:
         return np.zeros(img.shape, dtype=bool)
 
@@ -309,15 +344,25 @@ def locate_roi(v: ScalarVolume, cfg: RoiConfig | None = None) -> HoughResult:
     )
     h1 = denoise_h1(h1, cfg.h1_noise_frac)
     nx, ny, nz = h1.magnitudes.shape
+    # Edges lie within Canny's reach of the H1 support and votes within
+    # radius_max of an edge, so outside this window every edge and vote is
+    # zero. Translation keeps the flat-index tie order, hence the circles.
+    wx, wy = nonzero_window(
+        h1.magnitudes, canny_reach(cfg.canny_sigma) + cfg.radius_max
+    )
 
     surface = np.zeros((nx, ny), dtype=np.float64)
     per_slice: List[List[Circle]] = []
     total = 0
     for z in range(nz):
         edges = canny_edges(
-            h1.magnitudes[:, :, z], cfg.canny_sigma, cfg.canny_low, cfg.canny_high
+            h1.magnitudes[wx, wy, z], cfg.canny_sigma, cfg.canny_low, cfg.canny_high
         )
-        circles = hough_circles(edges, cfg)
+        circles = [
+            Circle(center=(c.center[0] + wx.start, c.center[1] + wy.start),
+                   radius=c.radius, score=c.score)
+            for c in hough_circles(edges, cfg)
+        ]
         per_slice.append(circles)
         total += len(circles)
         for c in circles:

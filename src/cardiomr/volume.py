@@ -151,7 +151,6 @@ class Patch:
     center: tuple
     size: tuple
     spacing: tuple
-    kind: str = "scalar"  # "scalar" or "label"
 
     def __post_init__(self):
         if self.size[0] <= 0 or self.size[1] <= 0:
@@ -323,14 +322,7 @@ def crop_patch(v, center, size) -> Patch:
     if v.data.ndim == 3:
         out = out[:, :, :, 0]
 
-    kind = "scalar" if isinstance(v, ScalarVolume) else "label"
-    return Patch(
-        data=out,
-        center=(cx, cy),
-        size=(w, h),
-        spacing=v.spacing,
-        kind=kind,
-    )
+    return Patch(data=out, center=(cx, cy), size=(w, h), spacing=v.spacing)
 
 
 def _resize_axis(data: np.ndarray, axis: int, target: int) -> np.ndarray:

@@ -397,3 +397,50 @@ class TestCli:
         rc = main(["roi", "--input", str(tmp_path / "missing.vol")])
         assert rc != 0
         assert "error" in capsys.readouterr().err.lower()
+
+
+class TestCsvColumns:
+    """A CSV without a required column is a usage error (exit 2), not a crash."""
+
+    @pytest.fixture(scope="class")
+    def model(self, tmp_path_factory):
+        from cardiomr.diagnosis import Dataset, save_model, train_ensemble
+
+        rng = np.random.default_rng(0)
+        labels = np.repeat(["NOR", "MINF", "DCM"], 6)
+        X = rng.normal(size=(labels.size, len(FEATURE_NAMES))) + 3 * (labels == "DCM")[:, None]
+        path = tmp_path_factory.mktemp("model") / "model.pkl"
+        save_model(train_ensemble(Dataset(X=X, y=labels), n_trees=5), path)
+        return path
+
+    @staticmethod
+    def write_csv(path, header, rows):
+        path.write_text("\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n")
+        return str(path)
+
+    def features_without_case_id(self, tmp_path):
+        return self.write_csv(tmp_path / "features.csv", ["id"] + list(FEATURE_NAMES),
+                              [["c0"] + ["1.5"] * len(FEATURE_NAMES)])
+
+    def test_predict(self, model, tmp_path, capsys):
+        rc = main(["predict", "--model", str(model),
+                   "--features", self.features_without_case_id(tmp_path)])
+        assert rc == 2
+        assert "missing column(s): case_id" in capsys.readouterr().err
+
+    def test_train_clf(self, tmp_path, capsys):
+        labels = self.write_csv(tmp_path / "labels.csv", ["case_id", "label"], [["c0", "NOR"]])
+        rc = main(["train-clf", "--features", self.features_without_case_id(tmp_path),
+                   "--labels", labels, "--model", str(tmp_path / "m.pkl")])
+        assert rc == 2
+        assert "missing column(s): case_id" in capsys.readouterr().err
+        assert not (tmp_path / "m.pkl").exists()
+
+    def test_train_clf_labels_without_label_column(self, tmp_path, capsys):
+        features = self.write_csv(tmp_path / "features.csv", ["case_id"] + list(FEATURE_NAMES),
+                                  [["c0"] + ["1.5"] * len(FEATURE_NAMES)])
+        labels = self.write_csv(tmp_path / "labels.csv", ["case_id", "diagnosis"], [["c0", "NOR"]])
+        rc = main(["train-clf", "--features", features, "--labels", labels,
+                   "--model", str(tmp_path / "m.pkl")])
+        assert rc == 2
+        assert "missing column(s): label" in capsys.readouterr().err
