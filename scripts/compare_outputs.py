@@ -1,14 +1,17 @@
-"""Check that two source trees write byte-identical pipeline outputs.
+"""Check that two source trees write byte-identical pipeline artifacts.
 
-    python scripts/compare_outputs.py BASE_TREE [--head TREE] [--seeds 1 2 3 4]
+    python scripts/compare_outputs.py BASE_TREE
 
-For each tree, a child interpreter imports ``cardiomr`` from ``TREE/src``,
-writes the benchmark's seeded ACDC-sized cases (cine, noisy and clean ED/ES
-labels, and the model they are classified with) with this checkout's
-``bench/inputs.py``, and runs ``run_pipeline`` on every case. Every file the
-two children wrote, inputs and artifacts alike, is then compared byte for
-byte. Exits 0 when all are identical, 1 otherwise, listing the files that
-differ or exist on one side only.
+For this checkout and for BASE_TREE, a child interpreter imports
+``cardiomr`` from ``TREE/src``, writes the benchmark's seeded ACDC-sized
+cases (cine, noisy and clean ED/ES labels, and the model they are
+classified with) with that tree's own ``bench/inputs.py``, and runs
+``run_pipeline`` on every case. The artifacts ``run_pipeline`` wrote
+(``report.json``, ``roi_patch.vol`` and the cleaned labels) are then
+compared byte for byte. The inputs are not compared, so a change to how a
+model or a volume is stored passes as long as the pipeline reads back the
+same data. Exits 0 when all artifacts are identical, 1 otherwise, listing
+the files that differ or exist on one side only.
 """
 
 from __future__ import annotations
@@ -22,57 +25,54 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
+SEEDS = (1, 2, 3, 4)
+N_CASES = 3
+N_MODEL_CASES = 10
 
 
-def write_outputs(tree: Path, out: Path, seeds, n_cases: int, n_model_cases: int) -> None:
+def write_outputs(tree: Path, out: Path) -> None:
     """Child side: inputs and pipeline artifacts of every case of every seed."""
-    sys.path.insert(0, str(HERE / "bench"))
+    sys.path.insert(0, str(tree / "bench"))
     import cardiomr
     import inputs
     from cardiomr.pipeline import run_pipeline
 
-    src = (tree / "src").resolve()
-    if src not in Path(cardiomr.__file__).resolve().parents:
-        raise SystemExit(f"imported {cardiomr.__file__}, not cardiomr from {src}")
-    for seed in seeds:
-        cases, model = inputs.write_acdc_inputs(seed, out / f"seed{seed}", n_cases, n_model_cases)
+    for module, root in ((cardiomr, tree / "src"), (inputs, tree / "bench")):
+        if root.resolve() not in Path(module.__file__).resolve().parents:
+            raise SystemExit(f"imported {module.__file__}, not from {root}")
+    for seed in SEEDS:
+        cases, model = inputs.write_acdc_inputs(seed, out / f"seed{seed}", N_CASES, N_MODEL_CASES)
         for case in cases:
             run_pipeline(case.cine, case.cine.parent / "out", **case.pipeline_kwargs(model))
 
 
-def files_under(root: Path) -> set:
-    return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+def artifacts_under(root: Path) -> set:
+    return {p.relative_to(root) for p in root.glob("seed*/*/out/*") if p.is_file()}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path, help="source tree to compare against")
-    parser.add_argument("--head", type=Path, default=HERE, help="default: this checkout")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4])
-    parser.add_argument("--cases", type=int, default=3, help="pipeline cases per seed")
-    parser.add_argument("--model-cases", type=int, default=10, help="training cases per seed")
     parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.child is not None:
-        write_outputs(args.base, args.child, args.seeds, args.cases, args.model_cases)
+        write_outputs(args.base, args.child)
         return 0
 
     with tempfile.TemporaryDirectory() as tmp:
         outs, children = {}, []
-        for side, tree in (("base", args.base), ("head", args.head)):
+        for side, tree in (("base", args.base), ("head", HERE)):
             outs[side] = Path(tmp) / side
             env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
-            cmd = [sys.executable, __file__, str(tree), "--child", str(outs[side]),
-                   "--cases", str(args.cases), "--model-cases", str(args.model_cases),
-                   "--seeds", *map(str, args.seeds)]
+            cmd = [sys.executable, __file__, str(tree), "--child", str(outs[side])]
             children.append((side, subprocess.Popen(cmd, env=env)))
         failed = [side for side, child in children if child.wait() != 0]
         if failed:
             print(f"error: the {' and '.join(failed)} run failed", file=sys.stderr)
             return 1
 
-        base, head = files_under(outs["base"]), files_under(outs["head"])
+        base, head = artifacts_under(outs["base"]), artifacts_under(outs["head"])
         _, mismatch, errors = filecmp.cmpfiles(
             outs["base"], outs["head"], sorted(base & head), shallow=False
         )
@@ -81,7 +81,7 @@ def main(argv=None) -> int:
         problems += [f"head only: {p}" for p in sorted(head - base)]
     for line in problems:
         print(line)
-    print(f"{len(base & head) - len(mismatch) - len(errors)} of {len(base | head)} files identical")
+    print(f"{len(base & head) - len(mismatch) - len(errors)} of {len(base | head)} artifacts identical")
     return 1 if problems else 0
 
 
