@@ -6,18 +6,22 @@ For this checkout and for BASE_TREE, a child interpreter imports
 ``cardiomr`` from ``TREE/src``, writes the benchmark's seeded ACDC-sized
 cases (cine, noisy and clean ED/ES labels, and the model they are
 classified with) with that tree's own ``bench/inputs.py``, and runs
-``run_pipeline`` on every case. The artifacts ``run_pipeline`` wrote
-(``report.json``, ``roi_patch.vol`` and the cleaned labels) are then
-compared byte for byte. The inputs are not compared, so a change to how a
-model or a volume is stored passes as long as the pipeline reads back the
-same data. Exits 0 when all artifacts are identical, 1 otherwise, listing
-the files that differ or exist on one side only.
+``run_pipeline`` on every case. On the first case of each seed it also runs
+``cardiomr roi --out-patch`` and ``cardiomr augment --labels --count 2
+--flips`` on that patch, through ``cli.main``. The artifacts
+(``report.json``, ``roi_patch.vol`` and the cleaned labels of every case;
+the ROI center, patch and augmented pairs with their sidecars of the first
+case) are then compared byte for byte. The inputs are not compared, so a
+change to how a model or a volume is stored passes as long as the pipeline
+reads back the same data. Exits 0 when all artifacts are identical, 1
+otherwise, listing the files that differ or exist on one side only.
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -28,6 +32,34 @@ HERE = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3, 4)
 N_CASES = 3
 N_MODEL_CASES = 10
+AUGMENT_SEED = 7
+
+
+def run_cli(*argv) -> None:
+    from cardiomr import cli
+
+    if cli.main([str(a) for a in argv]) != 0:
+        raise SystemExit(f"cardiomr {argv[0]} failed")
+
+
+def write_cli_outputs(case, out: Path) -> None:
+    """``roi --out-patch`` on the case's cine, then ``augment`` of that patch
+    with the ED segmentation cropped around the same center (its slices
+    cycled to the cine's count, so every patch slice has labels)."""
+    from cardiomr.volume import LabelVolume, crop_patch, load_volume, save_volume
+
+    out.mkdir()
+    patch = out / "roi_patch.vol"
+    run_cli("roi", "--input", case.cine, "--out-center", out / "roi.json", "--out-patch", patch)
+    roi = json.loads((out / "roi.json").read_text())
+    seg = load_volume(case.seg_ed, "label")
+    nz = load_volume(patch, "scalar").dims[2]
+    labels = crop_patch(seg, roi["center"], roi["patch_size"]).data
+    labels_path = case.cine.parent / "patch_labels.vol"
+    save_volume(LabelVolume(data=labels[:, :, [z % seg.dims[2] for z in range(nz)]],
+                            spacing=seg.spacing), labels_path)
+    run_cli("augment", "--input", patch, "--labels", labels_path, "--count", 2, "--flips",
+            "--seed", AUGMENT_SEED, "--out-dir", out / "augment")
 
 
 def write_outputs(tree: Path, out: Path) -> None:
@@ -44,10 +76,12 @@ def write_outputs(tree: Path, out: Path) -> None:
         cases, model = inputs.write_acdc_inputs(seed, out / f"seed{seed}", N_CASES, N_MODEL_CASES)
         for case in cases:
             run_pipeline(case.cine, case.cine.parent / "out", **case.pipeline_kwargs(model))
+        write_cli_outputs(cases[0], cases[0].cine.parent / "cli")
 
 
 def artifacts_under(root: Path) -> set:
-    return {p.relative_to(root) for p in root.glob("seed*/*/out/*") if p.is_file()}
+    found = list(root.glob("seed*/*/out/*")) + list(root.glob("seed*/*/cli/**/*"))
+    return {p.relative_to(root) for p in found if p.is_file()}
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .volume import LabelVolume
 
@@ -135,6 +134,8 @@ def hausdorff_mm(pred, gt, spacing, method: str = "kdtree") -> float:
     pa, ga = _coords_mm(p, spacing), _coords_mm(g, spacing)
     if method == "brute":
         return max(_directed_max_min(pa, ga), _directed_max_min(ga, pa))
+    from scipy.spatial import cKDTree  # here, so importing the CLI skips scipy.spatial
+
     d_pg = cKDTree(ga).query(pa)[0].max()
     d_gp = cKDTree(pa).query(ga)[0].max()
     return float(max(d_pg, d_gp))

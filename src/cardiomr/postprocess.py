@@ -180,10 +180,12 @@ def postprocess_labels(
 
     # The slice-wise pass can disconnect the surviving 3D component, so the
     # two passes repeat until stable; removals are monotone, so this
-    # terminates and makes the whole operation idempotent.
-    changed = True
-    while changed and not (skip_3d and skip_2d):
-        changed = False
+    # terminates and makes the whole operation idempotent. One pass alone
+    # is stable after one round, and so are both once the 2D pass drops
+    # nothing: every class is then the single component the 3D pass left.
+    repeat = not (skip_3d and skip_2d)
+    while repeat:
+        repeat = False
         if not skip_3d:
             for cls in ordered:
                 mask = data == cls
@@ -192,7 +194,6 @@ def postprocess_labels(
                 drop = mask & ~keep_largest(mask, 26)
                 if drop.any():
                     data[drop] = 0
-                    changed = True
         if not skip_2d:
             for z in range(data.shape[2]):
                 for cls in ordered:
@@ -202,7 +203,7 @@ def postprocess_labels(
                     drop = mask & ~keep_largest(mask, 8)
                     if drop.any():
                         data[:, :, z][drop] = 0
-                        changed = True
+                        repeat = not skip_3d
 
     if not skip_fill:
         for z in range(data.shape[2]):

@@ -72,7 +72,7 @@ ACDC_SCHEMA = LabelSchema()
 def _locked(arr: np.ndarray, source) -> np.ndarray:
     """Read-only `arr`, copied first only if it shares memory with `source`."""
     if np.may_share_memory(arr, source):
-        arr = arr.copy()
+        arr = arr.copy(order="K")  # keep the memory order: files load F-contiguous
     arr.setflags(write=False)
     return arr
 
@@ -81,17 +81,20 @@ def _locked(arr: np.ndarray, source) -> np.ndarray:
 class ScalarVolume:
     """Immutable 4D real-valued grid with physical spacing.
 
-    Data is held as float64 (the file format quantizes to float32 on save).
-    The caller's array is copied at most once: the float64 cast is the copy
-    when it has to convert, and otherwise one explicit copy is made, so the
-    volume never aliases the caller's memory.
+    float32 data is held as float32, in the caller's memory order; any other
+    dtype is cast to float64. Consumers compute in float64 at the point of
+    use. The caller's array is copied at most once: the float64 cast is the
+    copy when it has to convert, and otherwise one explicit copy is made, so
+    the volume never aliases the caller's memory.
     """
 
     data: np.ndarray
     spacing: tuple = (1.0, 1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
+        data = np.asarray(self.data)
+        if data.dtype != np.float32:
+            data = np.asarray(data, dtype=np.float64)
         if data.ndim != 4:
             raise ValueError(f"scalar volume must be 4D, got {data.ndim}D")
         if not np.all(np.isfinite(data)):
@@ -279,7 +282,7 @@ def save_volume(vol, path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ravel(data, order="F").tobytes())
+        fh.write(np.ravel(data, order="F"))  # a view when data is F-contiguous
 
 
 def normalize_slicewise(v: ScalarVolume) -> ScalarVolume:
@@ -313,7 +316,9 @@ def crop_patch(v, center, size) -> Patch:
     data = v.data
     if data.ndim == 3:
         data = data[:, :, :, np.newaxis]
-    out = np.zeros((w, h) + data.shape[2:], dtype=data.dtype)
+    # in the source's memory order, so an x-fastest cine is read in order
+    order = "F" if data.flags.f_contiguous else "C"
+    out = np.zeros((w, h) + data.shape[2:], dtype=data.dtype, order=order)
 
     x0, y0 = cx - w // 2, cy - h // 2
     sx0, sx1 = max(x0, 0), min(x0 + w, nx)

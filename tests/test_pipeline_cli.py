@@ -47,16 +47,25 @@ def static_cine(tmp_path_factory):
     return path
 
 
-def test_cli_import_leaves_out_scipy_signal():
+def _loaded_by_cli_import(module):
+    """Whether a fresh ``import cardiomr.cli`` loads ``module``."""
     import cardiomr
 
     src = str(Path(cardiomr.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, cardiomr.cli; print('scipy.signal' in sys.modules)"
+    code = f"import sys, cardiomr.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    assert not _loaded_by_cli_import("scipy.signal")
+
+
+def test_cli_import_leaves_out_scipy_spatial():
+    assert not _loaded_by_cli_import("scipy.spatial")
 
 
 class TestConfig:

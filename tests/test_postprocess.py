@@ -2,8 +2,12 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
+import cardiomr.postprocess as postprocess_mod
 from cardiomr.phantoms import annulus_mask, disk_mask
 from cardiomr.postprocess import (
     _fill_holes_class_aware,
@@ -221,6 +225,95 @@ class TestFillHoles:
         for _ in range(20):
             mask = rng.random((12, 12)) < 0.5
             assert fill_holes(mask).sum() >= mask.sum()
+
+
+def reference_postprocess(lbl, skip_3d, skip_2d, skip_fill):
+    """postprocess_labels on a plain 3D array, repeating both passes
+    whenever either of them dropped a voxel."""
+    data = np.array(lbl)
+    priority = sorted(int(v) for v in np.unique(data) if v > 0)[::-1]
+    changed = True
+    while changed and not (skip_3d and skip_2d):
+        changed = False
+        if not skip_3d:
+            for cls in priority:
+                mask = data == cls
+                if not mask.any():
+                    continue
+                drop = mask & ~keep_largest(mask, 26)
+                if drop.any():
+                    data[drop] = 0
+                    changed = True
+        if not skip_2d:
+            for z in range(data.shape[2]):
+                for cls in priority:
+                    mask = data[:, :, z] == cls
+                    if not mask.any():
+                        continue
+                    drop = mask & ~keep_largest(mask, 8)
+                    if drop.any():
+                        data[:, :, z][drop] = 0
+                        changed = True
+    if not skip_fill:
+        for z in range(data.shape[2]):
+            data[:, :, z] = _fill_holes_class_aware(data[:, :, z], priority)
+    return data
+
+
+@st.composite
+def sparse_labels(draw):
+    """Label volumes from a few random boxes, so that some classes split in
+    3D only, some in 2D only and some not at all."""
+    shape = draw(st.tuples(st.integers(3, 12), st.integers(3, 12), st.integers(1, 5)))
+    data = np.zeros(shape, dtype=np.uint8)
+    for _ in range(draw(st.integers(0, 6))):
+        lo = [draw(st.integers(0, n - 1)) for n in shape]
+        hi = [draw(st.integers(a + 1, n)) for a, n in zip(lo, shape)]
+        data[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = draw(st.integers(0, 3))
+    return data
+
+
+class TestPostprocessRounds:
+    @settings(max_examples=200, deadline=None)
+    @given(lbl=st.one_of(
+               arrays(np.uint8, st.tuples(st.integers(1, 10), st.integers(1, 10),
+                                          st.integers(1, 4)), elements=st.integers(0, 3)),
+               sparse_labels()),
+           skips=st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    def test_matches_repeating_after_any_drop(self, lbl, skips):
+        skip_3d, skip_2d, skip_fill = skips
+        got = postprocess_labels(lbl, skip_3d=skip_3d, skip_2d=skip_2d, skip_fill=skip_fill)
+        assert np.array_equal(got, reference_postprocess(lbl, skip_3d, skip_2d, skip_fill))
+
+    @pytest.fixture
+    def keep_largest_calls(self, monkeypatch):
+        """The connectivity of every keep_largest call postprocess_labels makes."""
+        calls = []
+
+        def counted(mask, connectivity):
+            calls.append(connectivity)
+            return keep_largest(mask, connectivity)
+
+        monkeypatch.setattr(postprocess_mod, "keep_largest", counted)
+        return calls
+
+    def test_3d_island_without_2d_fragments_takes_one_round(self, keep_largest_calls):
+        lbl = np.zeros((12, 12, 4), dtype=np.uint8)
+        lbl[2:6, 2:6, :] = 3
+        lbl[9:11, 9:11, 2] = 3  # apart in 3D: the 3D pass drops it, the 2D pass drops nothing
+        out = postprocess_labels(lbl)
+        assert not out[9:11, 9:11, 2].any()
+        assert keep_largest_calls.count(26) == 1
+        assert keep_largest_calls.count(8) == 4
+
+    def test_2d_drop_repeats_the_3d_pass(self, keep_largest_calls):
+        lbl = np.zeros((12, 12, 2), dtype=np.uint8)
+        lbl[2:6, 2:6, 0] = 3
+        lbl[8:10, 8:10, 0] = 3  # a 2D fragment of slice 0 ...
+        lbl[2:10, 2:10, 1] = 3  # ... joined to the rest in 3D through slice 1
+        got = postprocess_labels(lbl, skip_fill=True)
+        assert np.array_equal(got, reference_postprocess(lbl, False, False, True))
+        assert keep_largest_calls.count(26) == 2
 
 
 class TestPostprocessLabels:

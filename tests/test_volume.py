@@ -26,6 +26,83 @@ def write_raw(path, ndims, dims, spacing, etype, payload: bytes):
     path.write_bytes(header.encode() + payload)
 
 
+def reference_payload(data, etype):
+    """The payload bytes as save_volume wrote them with a transposing copy."""
+    return np.ravel(np.asarray(data, etype), order="F").tobytes()
+
+
+def payload_of(path):
+    raw = path.read_bytes()
+    return raw[raw.index(b"\n\n") + 2:]
+
+
+def scalar_sources():
+    """float32/float64 arrays in C order, F order and neither (permuted axes)."""
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal((5, 4, 3, 6)) * 100
+    for dtype in (np.float32, np.float64):
+        arr = base.astype(dtype)
+        name = np.dtype(dtype).name
+        strided = rng.standard_normal((10, 4, 3, 12)).astype(dtype)[::2, :, :, ::2]
+        yield pytest.param(arr, id=f"{name}-C")
+        yield pytest.param(np.asfortranarray(arr), id=f"{name}-F")
+        yield pytest.param(arr.transpose(1, 0, 3, 2), id=f"{name}-permuted")
+        yield pytest.param(strided, id=f"{name}-strided")
+
+
+class TestSavePayload:
+    @pytest.mark.parametrize("src", list(scalar_sources()))
+    def test_scalar_bytes_match_the_transposing_writer(self, tmp_path, src):
+        vol = ScalarVolume(data=src, spacing=(1.25, 1.25, 8.0, 30.0))
+        f = tmp_path / "v.vol"
+        save_volume(vol, f)
+        assert payload_of(f) == reference_payload(vol.data, "<f4")
+        assert payload_of(f) == reference_payload(src, "<f4")
+
+    @pytest.mark.parametrize("shape", [(5, 4, 3), (5, 4, 3, 2)])
+    @pytest.mark.parametrize("order", ["C", "F", "permuted"])
+    def test_label_bytes_match_the_transposing_writer(self, tmp_path, shape, order):
+        rng = np.random.default_rng(12)
+        src = rng.integers(0, 4, shape).astype(np.uint8)
+        if order == "F":
+            src = np.asfortranarray(src)
+        elif order == "permuted":
+            src = src.transpose(1, 0, *range(2, len(shape)))
+        vol = LabelVolume(data=src, spacing=(1.0,) * len(shape))
+        f = tmp_path / "l.vol"
+        save_volume(vol, f)
+        assert payload_of(f) == reference_payload(src, "u1")
+
+    def test_load_holds_float32_file_order_read_only(self, tmp_path):
+        rng = np.random.default_rng(13)
+        payload = rng.standard_normal(6 * 5 * 3 * 4).astype("<f4").tobytes()
+        f = tmp_path / "v.vol"
+        write_raw(f, 4, (6, 5, 3, 4), (1.5, 1.5, 10, 1), "FLOAT32", payload)
+        vol = load_volume(f, "scalar")
+        assert vol.data.dtype == np.float32
+        assert vol.data.flags.f_contiguous
+        assert not vol.data.flags.writeable
+        assert np.ravel(vol.data, order="F").tobytes() == payload
+
+    @pytest.mark.parametrize("kind,ndims,dims,etype", [
+        ("scalar", 4, (6, 5, 3, 4), "FLOAT32"),
+        ("label", 3, (6, 5, 3), "UINT8"),
+        ("label", 4, (6, 5, 3, 2), "UINT8"),
+    ])
+    def test_load_save_round_trip_is_byte_identical(self, tmp_path, kind, ndims, dims, etype):
+        rng = np.random.default_rng(14)
+        n = int(np.prod(dims))
+        if etype == "FLOAT32":
+            payload = rng.standard_normal(n).astype("<f4").tobytes()
+        else:
+            payload = rng.integers(0, 4, n).astype("u1").tobytes()
+        src = tmp_path / "in.vol"
+        write_raw(src, ndims, dims, (1.5, 1.25, 10.0, 30.0)[:ndims], etype, payload)
+        out = tmp_path / "out.vol"
+        save_volume(load_volume(src, kind), out)
+        assert out.read_bytes() == src.read_bytes()
+
+
 class TestLoadSave:
     def test_small_file_x_fastest_order(self, tmp_path):
         payload = np.array([0, 1, 2, 3], dtype="<f4").tobytes()
@@ -130,9 +207,29 @@ class TestTypes:
         src = np.zeros((2, 2, 1, 3), dtype=dtype)
         vol = ScalarVolume(data=src)
         src[0, 0, 0, 0] = 5.0
-        assert vol.data.dtype == np.float64
+        assert vol.data.dtype == dtype
         assert vol.data[0, 0, 0, 0] == 0.0
         assert src.flags.writeable
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_scalar_copy_keeps_the_memory_order(self, dtype, order):
+        src = np.zeros((3, 2, 2, 4), dtype=dtype, order=order)
+        vol = ScalarVolume(data=src)
+        assert not np.may_share_memory(vol.data, src)
+        assert vol.data.flags.f_contiguous == (order == "F")
+        assert vol.data.flags.c_contiguous == (order == "C")
+        src[1, 1, 1, 1] = 5.0
+        assert vol.data[1, 1, 1, 1] == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int16, np.uint8, np.int64])
+    def test_scalar_other_dtypes_become_float64(self, dtype):
+        src = np.arange(24).reshape(2, 3, 2, 2).astype(dtype)
+        vol = ScalarVolume(data=src)
+        assert vol.data.dtype == np.float64
+        assert np.array_equal(vol.data, src.astype(np.float64))
+        assert not np.may_share_memory(vol.data, src)
+        assert not vol.data.flags.writeable
 
     def test_volumes_are_immutable(self):
         vol = ScalarVolume(data=np.zeros((2, 2, 1, 1)))
@@ -210,6 +307,65 @@ class TestCropPatch:
         assert np.array_equal(
             patch.data[:, :, 0, 0], vol.data[x0:x0 + 4, y0:y0 + 4, 0, 0]
         )
+
+
+def reference_crop(v, center, size):
+    """crop_patch's data as it was made in C order whatever the source's order."""
+    cx, cy = int(center[0]), int(center[1])
+    w, h = int(size[0]), int(size[1])
+    nx, ny = v.dims[0], v.dims[1]
+    data = v.data
+    if data.ndim == 3:
+        data = data[:, :, :, np.newaxis]
+    out = np.zeros((w, h) + data.shape[2:], dtype=data.dtype)
+    x0, y0 = cx - w // 2, cy - h // 2
+    sx0, sx1 = max(x0, 0), min(x0 + w, nx)
+    sy0, sy1 = max(y0, 0), min(y0 + h, ny)
+    out[sx0 - x0:sx1 - x0, sy0 - y0:sy1 - y0] = data[sx0:sx1, sy0:sy1]
+    if v.data.ndim == 3:
+        out = out[:, :, :, 0]
+    return out
+
+
+def crop_sources():
+    rng = np.random.default_rng(15)
+    scalar = (rng.standard_normal((9, 7, 3, 5)) * 10).astype(np.float32)
+    labels = rng.integers(0, 4, (9, 7, 3)).astype(np.uint8)
+    for order in ("C", "F"):
+        labels4d = np.stack([labels, labels[::-1]], axis=3)
+        yield pytest.param(ScalarVolume(data=np.asarray(scalar, order=order)),
+                           id=f"float32-{order}")
+        yield pytest.param(ScalarVolume(data=np.asarray(scalar, np.float64, order=order)),
+                           id=f"float64-{order}")
+        yield pytest.param(LabelVolume(data=np.asarray(labels, order=order)),
+                           id=f"label3d-{order}")
+        yield pytest.param(LabelVolume(data=np.asarray(labels4d, order=order),
+                                       spacing=(1.0, 1.0, 1.0, 1.0)), id=f"label4d-{order}")
+
+
+# every corner, every border's midpoint and the interior; windows narrower
+# than, as wide as and wider than the 9x7 grid
+CROP_CENTERS = [(0, 0), (8, 0), (0, 6), (8, 6), (4, 0), (4, 6), (0, 3), (8, 3), (4, 3)]
+CROP_SIZES = [(1, 1), (4, 3), (5, 6), (9, 7), (12, 11)]
+
+
+class TestCropPatchOrder:
+    @pytest.mark.parametrize("vol", list(crop_sources()))
+    def test_matches_the_c_ordered_crop(self, vol):
+        for center in CROP_CENTERS:
+            for size in CROP_SIZES:
+                got = crop_patch(vol, center, size).data
+                ref = reference_crop(vol, center, size)
+                assert got.dtype == ref.dtype
+                assert got.shape == ref.shape
+                assert np.array_equal(got, ref), (center, size)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_patch_follows_the_source_order(self, order):
+        data = np.zeros((9, 7, 3, 5), dtype=np.float32, order=order)
+        patch = crop_patch(ScalarVolume(data=data), (4, 3), (4, 5)).data
+        assert patch.flags.f_contiguous == (order == "F")
+        assert patch.flags.c_contiguous == (order == "C")
 
 
 class TestPadOrCenterCrop:
