@@ -179,8 +179,12 @@ def augment_volume(vol: ScalarVolume, lbl: LabelVolume | None, p: AugmentParams,
 
     ``lbl`` is optional; a 3D label volume is shared by every frame, a 4D
     one is augmented frame by frame. Returns ``(ScalarVolume, LabelVolume
-    or None)`` on the input grids.
+    or None)`` on the input grids. Raises ValueError when the labels' grid
+    or frame count is not the image's.
     """
+    if lbl is not None and (lbl.dims[:3] != vol.dims[:3]
+                            or lbl.data.ndim == 4 and lbl.dims[3] != vol.dims[3]):
+        raise ValueError(f"labels of shape {lbl.dims} do not match the image's {vol.dims}")
     img_out = np.empty(vol.dims, dtype=np.float64)
     lbl_out = None if lbl is None else np.empty(lbl.dims, dtype=np.uint8)
     per_frame = lbl is not None and lbl.data.ndim == 4

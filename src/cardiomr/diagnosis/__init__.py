@@ -21,15 +21,14 @@ from .ensemble import (
     select_classifiers,
     train_ensemble,
 )
-from .forest import RandomForest, train_rf
-from .gnb import GaussianNB, train_gnb
-from .mlp import MLPClassifier, TrainingError, train_mlp
-from .svm import RbfSvm, train_svm_rbf
+from .forest import RandomForest
+from .gnb import GaussianNB
+from .mlp import MLPClassifier, TrainingError
+from .svm import RbfSvm
 
 __all__ = [
     "DISEASE_LABELS", "CvScore", "Dataset", "EnsembleModel", "Preprocessor",
     "SelectionError", "StratificationError", "cross_validate", "load_model",
     "predict_two_stage", "save_model", "select_classifiers", "train_ensemble",
-    "RandomForest", "train_rf", "GaussianNB", "train_gnb",
-    "MLPClassifier", "TrainingError", "train_mlp", "RbfSvm", "train_svm_rbf",
+    "RandomForest", "GaussianNB", "MLPClassifier", "TrainingError", "RbfSvm",
 ]

@@ -89,9 +89,6 @@ class Preprocessor:
         X = np.asarray(X, dtype=np.float64)
         return (self._impute(X) - self.means) / self.stds
 
-    def fit_transform(self, X) -> np.ndarray:
-        return self.fit(X).transform(X)
-
 
 @dataclass(frozen=True)
 class CvScore:
@@ -165,7 +162,6 @@ class EnsembleModel:
     expert_features: tuple = ES_MWT_FEATURES
     mode: str = "all"                    # "all" votes every stage-1 classifier,
     selected: tuple = ()                 # "selected" votes only these names
-    schema_version: int = MODEL_SCHEMA_VERSION
 
     def voters(self) -> List[str]:
         if self.mode == "selected" and self.selected:

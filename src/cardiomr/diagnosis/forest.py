@@ -108,10 +108,9 @@ class _Tree:
 
 
 class RandomForest:
-    def __init__(self, n_trees: int = 1000, seed: int = 0, max_features: str = "sqrt"):
+    def __init__(self, n_trees: int = 1000, seed: int = 0):
         self.n_trees = n_trees
         self.seed = seed
-        self.max_features = max_features
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=np.float64)
@@ -121,10 +120,7 @@ class RandomForest:
             raise ValueError("need at least 2 classes")
         y_enc = np.searchsorted(self.classes_, y)
         n, d = X.shape
-        if self.max_features == "sqrt":
-            m = max(1, int(round(np.sqrt(d))))
-        else:
-            m = int(self.max_features)
+        m = max(1, int(round(np.sqrt(d))))  # features tried per split
         rng = np.random.default_rng(self.seed)
         self.trees_ = []
         for _ in range(self.n_trees):
@@ -144,7 +140,3 @@ class RandomForest:
             pred = tree.predict_class(X)
             votes[np.arange(X.shape[0]), pred] += 1
         return self.classes_[np.argmax(votes, axis=1)]
-
-
-def train_rf(X, y, n_trees: int = 1000, seed: int = 0) -> RandomForest:
-    return RandomForest(n_trees=n_trees, seed=seed).fit(X, y)

@@ -4,16 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
+VAR_SMOOTHING = 1e-9
+
 
 class GaussianNB:
     """Per-class per-feature Gaussians with empirical priors.
 
-    Variances are floored by ``var_smoothing`` times the largest overall
+    Variances are floored by ``VAR_SMOOTHING`` times the largest overall
     feature variance so constant features cannot zero out a likelihood.
     """
-
-    def __init__(self, var_smoothing: float = 1e-9):
-        self.var_smoothing = var_smoothing
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=np.float64)
@@ -25,7 +24,7 @@ class GaussianNB:
         self.theta_ = np.zeros((len(self.classes_), d))
         self.var_ = np.zeros((len(self.classes_), d))
         self.priors_ = np.zeros(len(self.classes_))
-        floor = self.var_smoothing * max(X.var(axis=0).max(), 1e-12)
+        floor = VAR_SMOOTHING * max(X.var(axis=0).max(), 1e-12)
         for i, cls in enumerate(self.classes_):
             rows = X[y == cls]
             self.theta_[i] = rows.mean(axis=0)
@@ -46,7 +45,3 @@ class GaussianNB:
 
     def predict(self, X):
         return self.classes_[np.argmax(self.log_posterior(X), axis=1)]
-
-
-def train_gnb(X, y) -> GaussianNB:
-    return GaussianNB().fit(X, y)

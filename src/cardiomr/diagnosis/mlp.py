@@ -120,7 +120,6 @@ class MLPClassifier:
 
         if best_weights is not None:
             self.W_, self.b_ = best_weights
-        self.loss_history_ = history
         return self
 
     def predict_proba(self, X):
@@ -129,7 +128,3 @@ class MLPClassifier:
 
     def predict(self, X):
         return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
-
-
-def train_mlp(X, y, hidden=(100, 100), seed: int = 0, **kwargs) -> MLPClassifier:
-    return MLPClassifier(hidden=hidden, seed=seed, **kwargs).fit(X, y)

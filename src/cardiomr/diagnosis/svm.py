@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
+C = 1.0            # soft-margin penalty
+TOL = 1e-3         # KKT violation tolerance
+MAX_PASSES = 200   # sweeps over the multipliers before SMO stops
+
 
 def rbf_kernel(A, B, gamma: float) -> np.ndarray:
     a2 = (A * A).sum(axis=1)[:, None]
@@ -23,11 +27,8 @@ def rbf_kernel(A, B, gamma: float) -> np.ndarray:
 class _BinarySvm:
     """Soft-margin binary SVM on labels in {-1, +1}."""
 
-    def __init__(self, c: float, gamma: float, tol: float, max_passes: int, rng):
-        self.c = c
+    def __init__(self, gamma: float, rng):
         self.gamma = gamma
-        self.tol = tol
-        self.max_passes = max_passes
         self.rng = rng
 
     def fit(self, X, y):
@@ -45,9 +46,9 @@ class _BinarySvm:
             yi, yj = y[i], y[j]
             ei, ej = errors[i], errors[j]
             if yi != yj:
-                lo, hi = max(0.0, aj - ai), min(self.c, self.c + aj - ai)
+                lo, hi = max(0.0, aj - ai), min(C, C + aj - ai)
             else:
-                lo, hi = max(0.0, ai + aj - self.c), min(self.c, ai + aj)
+                lo, hi = max(0.0, ai + aj - C), min(C, ai + aj)
             if lo >= hi:
                 return False
             eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
@@ -60,9 +61,9 @@ class _BinarySvm:
 
             b1 = b - ei - yi * (ai_new - ai) * K[i, i] - yj * (aj_new - aj) * K[i, j]
             b2 = b - ej - yi * (ai_new - ai) * K[i, j] - yj * (aj_new - aj) * K[j, j]
-            if 0 < ai_new < self.c:
+            if 0 < ai_new < C:
                 b_new = b1
-            elif 0 < aj_new < self.c:
+            elif 0 < aj_new < C:
                 b_new = b2
             else:
                 b_new = 0.5 * (b1 + b2)
@@ -79,8 +80,8 @@ class _BinarySvm:
         def examine(j):
             ej = errors[j]
             r = ej * y[j]
-            if (r < -self.tol and alpha[j] < self.c) or (r > self.tol and alpha[j] > 0):
-                non_bound = np.nonzero((alpha > 0) & (alpha < self.c))[0]
+            if (r < -TOL and alpha[j] < C) or (r > TOL and alpha[j] > 0):
+                non_bound = np.nonzero((alpha > 0) & (alpha < C))[0]
                 if len(non_bound) > 1:
                     i = int(non_bound[np.argmax(np.abs(errors[non_bound] - ej))])
                     if take_step(i, j):
@@ -95,9 +96,9 @@ class _BinarySvm:
 
         passes = 0
         examine_all = True
-        while passes < self.max_passes:
+        while passes < MAX_PASSES:
             changed = 0
-            targets = range(n) if examine_all else np.nonzero((alpha > 0) & (alpha < self.c))[0]
+            targets = range(n) if examine_all else np.nonzero((alpha > 0) & (alpha < C))[0]
             for j in targets:
                 changed += examine(int(j))
             passes += 1
@@ -123,15 +124,11 @@ class _BinarySvm:
 class RbfSvm:
     """One-vs-one multi-class RBF SVM.
 
-    ``gamma="scale"`` resolves to 1 / (n_features * feature variance).
+    The kernel width ``gamma_`` is 1 / (n_features * feature variance) of
+    the training matrix.
     """
 
-    def __init__(self, c: float = 1.0, gamma="scale", tol: float = 1e-3,
-                 max_passes: int = 200, seed: int = 0):
-        self.c = c
-        self.gamma = gamma
-        self.tol = tol
-        self.max_passes = max_passes
+    def __init__(self, seed: int = 0):
         self.seed = seed
 
     def fit(self, X, y):
@@ -140,11 +137,8 @@ class RbfSvm:
         self.classes_ = np.unique(y)
         if len(self.classes_) < 2:
             raise ValueError("need at least 2 classes")
-        if self.gamma == "scale":
-            var = X.var()
-            self.gamma_ = 1.0 / (X.shape[1] * var) if var > 0 else 1.0
-        else:
-            self.gamma_ = float(self.gamma)
+        var = X.var()
+        self.gamma_ = 1.0 / (X.shape[1] * var) if var > 0 else 1.0
         rng = np.random.default_rng(self.seed)
         self.pairs_ = {}
         for a in range(len(self.classes_)):
@@ -152,7 +146,7 @@ class RbfSvm:
                 mask = (y == self.classes_[a]) | (y == self.classes_[bb])
                 Xp = X[mask]
                 yp = np.where(y[mask] == self.classes_[a], 1.0, -1.0)
-                svm = _BinarySvm(self.c, self.gamma_, self.tol, self.max_passes, rng)
+                svm = _BinarySvm(self.gamma_, rng)
                 svm.fit(Xp, yp)
                 self.pairs_[(a, bb)] = svm
         return self
@@ -165,7 +159,3 @@ class RbfSvm:
             votes[:, a] += d >= 0
             votes[:, bb] += d < 0
         return self.classes_[np.argmax(votes, axis=1)]
-
-
-def train_svm_rbf(X, y, c: float = 1.0, gamma="scale", **kwargs) -> RbfSvm:
-    return RbfSvm(c=c, gamma=gamma, **kwargs).fit(X, y)

@@ -24,19 +24,6 @@ def annulus_mask(shape, center, r_inner, r_outer) -> np.ndarray:
     return (d > r_inner) & (d <= r_outer)
 
 
-def sector_annulus_mask(shape, center, r_inner_of_angle, r_outer) -> np.ndarray:
-    """Annulus whose inner radius varies with polar angle.
-
-    ``r_inner_of_angle`` maps angles in (-pi, pi] to inner radii, which
-    lets callers carve regionally thin walls.
-    """
-    xs, ys = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]), indexing="ij")
-    dx, dy = xs - center[0], ys - center[1]
-    d = np.hypot(dx, dy)
-    ang = np.arctan2(dy, dx)
-    return (d > r_inner_of_angle(ang)) & (d <= r_outer)
-
-
 def pulsating_disk_cine(
     shape=(128, 128),
     center=(64, 64),
@@ -136,8 +123,6 @@ def disease_cohort_case(seed: int, kind: str, shape=(96, 96)):
     structure: DCM walls are uniform, MINF walls carry a thin sector that
     stays thin at end-systole.
     """
-    from .volume import LabelVolume  # local to keep module import light
-
     rng = np.random.default_rng(seed)
     n_slices = int(rng.integers(6, 11))
     sxy = float(rng.uniform(1.2, 1.8))
@@ -169,7 +154,7 @@ def disease_cohort_case(seed: int, kind: str, shape=(96, 96)):
 
         return of_angle
 
-    def build(phase: str) -> "LabelVolume":
+    def build(phase: str) -> LabelVolume:
         es = phase == "es"
         data = np.zeros(shape + (n_slices,), dtype=np.uint8)
         for z in range(n_slices):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .diagnosis import load_model, predict_two_stage
-from .features import FEATURE_NAMES, PhaseLabels, extract_features
+from .features import FEATURE_NAMES, MYOCARDIUM_DENSITY_G_PER_ML, PhaseLabels, extract_features
 from .loss import LossConfig
 from .postprocess import postprocess_labels
 from .roi import RoiConfig, RoiLocateError, locate_roi
@@ -35,26 +35,26 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 _BOOL = lambda s: _BOOL_WORDS[str(s).strip().lower()]  # KeyError: not a boolean word
 CONFIG_SCHEMA = {
-    "roi.radius_min": (int, 10),
-    "roi.radius_max": (int, 40),
-    "roi.top_p": (int, 5),
-    "roi.vote_sigma": (float, 8.0),
-    "roi.h1_noise_frac": (float, 0.01),
-    "roi.canny_sigma": (float, 1.0),
-    "roi.canny_low": (float, 0.1),
-    "roi.canny_high": (float, 0.2),
-    "roi.patch_w": (int, 128),
-    "roi.patch_h": (int, 128),
-    "loss.lambda": (float, 1.0),
-    "loss.gamma": (float, 1.0),
-    "loss.eta": (float, 5e-4),
-    "loss.epsilon": (float, 1e-5),
-    "loss.dice_two_factor": (_BOOL, True),
+    "roi.radius_min": (int, RoiConfig.radius_min),
+    "roi.radius_max": (int, RoiConfig.radius_max),
+    "roi.top_p": (int, RoiConfig.top_p),
+    "roi.vote_sigma": (float, RoiConfig.vote_sigma),
+    "roi.h1_noise_frac": (float, RoiConfig.h1_noise_frac),
+    "roi.canny_sigma": (float, RoiConfig.canny_sigma),
+    "roi.canny_low": (float, RoiConfig.canny_low),
+    "roi.canny_high": (float, RoiConfig.canny_high),
+    "roi.patch_w": (int, RoiConfig.patch_size[0]),
+    "roi.patch_h": (int, RoiConfig.patch_size[1]),
+    "loss.lambda": (float, LossConfig.lam),
+    "loss.gamma": (float, LossConfig.gamma),
+    "loss.eta": (float, LossConfig.eta),
+    "loss.epsilon": (float, LossConfig.epsilon),
+    "loss.dice_two_factor": (_BOOL, LossConfig.dice_two_factor),
     "loss.dilate_iters": (int, 1),
     "postproc.skip_3d": (_BOOL, False),
     "postproc.skip_2d": (_BOOL, False),
     "postproc.skip_fill": (_BOOL, False),
-    "features.density": (float, 1.05),
+    "features.density": (float, MYOCARDIUM_DENSITY_G_PER_ML),
     "seed": (int, 0),
 }
 

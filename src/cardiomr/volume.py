@@ -100,17 +100,14 @@ class ScalarVolume:
         if not np.all(np.isfinite(data)):
             raise ValueError("scalar volume contains non-finite values")
         spacing = tuple(float(s) for s in self.spacing)
-        if len(spacing) != 4 or any(s <= 0 for s in spacing):
-            raise ValueError(f"spacing must be 4 positive reals, got {self.spacing}")
+        if len(spacing) != 4 or any(not 0 < s < math.inf for s in spacing):
+            raise ValueError(f"spacing must be 4 positive finite reals, got {self.spacing}")
         object.__setattr__(self, "data", _locked(data, self.data))
         object.__setattr__(self, "spacing", spacing)
 
     @property
     def dims(self):
         return self.data.shape
-
-    def slice2d(self, z: int = 0, t: int = 0) -> np.ndarray:
-        return self.data[:, :, z, t]
 
 
 @dataclass(frozen=True)
@@ -131,9 +128,9 @@ class LabelVolume:
         if bad:
             raise ValueError(f"labels {bad} are not in the schema {self.schema.ids}")
         spacing = tuple(float(s) for s in self.spacing)
-        if len(spacing) != data.ndim or any(s <= 0 for s in spacing):
+        if len(spacing) != data.ndim or any(not 0 < s < math.inf for s in spacing):
             raise ValueError(
-                f"spacing must be {data.ndim} positive reals, got {self.spacing}"
+                f"spacing must be {data.ndim} positive finite reals, got {self.spacing}"
             )
         object.__setattr__(self, "data", _locked(data.astype(np.uint8), self.data))
         object.__setattr__(self, "spacing", spacing)
@@ -210,9 +207,9 @@ def _parse_header(raw: bytes, path):
         raise VolumeFormatError(
             f"{path}: ElementSpacing must be reals: {fields['ElementSpacing']!r}"
         )
-    if len(spacing) != ndims or any(s <= 0 for s in spacing):
+    if len(spacing) != ndims or any(not 0 < s < math.inf for s in spacing):
         raise VolumeFormatError(
-            f"{path}: ElementSpacing must be {ndims} positive reals,"
+            f"{path}: ElementSpacing must be {ndims} positive finite reals,"
             f" got {fields['ElementSpacing']!r}"
         )
 

@@ -15,11 +15,9 @@ from cardiomr.diagnosis import (
     GaussianNB,
     MLPClassifier,
     Preprocessor,
+    RbfSvm,
     cross_validate,
     select_classifiers,
-    train_gnb,
-    train_mlp,
-    train_svm_rbf,
 )
 from cardiomr.features import (
     ES_MWT_FEATURES,
@@ -243,17 +241,17 @@ def test_criterion_09_classifier_suite():
         return X[idx], y[idx]
 
     X, y = blobs(100, ((0, 0), (10, 10)))
-    gnb_acc = (train_gnb(X[:150], y[:150]).predict(X[150:]) == y[150:]).mean()
+    gnb_acc = (GaussianNB().fit(X[:150], y[:150]).predict(X[150:]) == y[150:]).mean()
     mlp_acc = (
-        train_mlp(X[:150], y[:150], hidden=(100, 100), seed=0).predict(X[150:])
+        MLPClassifier(hidden=(100, 100), seed=0).fit(X[:150], y[:150]).predict(X[150:])
         == y[150:]
     ).mean()
-    svm_acc = (train_svm_rbf(X[:150], y[:150]).predict(X[150:]) == y[150:]).mean()
+    svm_acc = (RbfSvm().fit(X[:150], y[:150]).predict(X[150:]) == y[150:]).mean()
     assert gnb_acc >= 0.99 and mlp_acc >= 0.99 and svm_acc >= 0.99
 
     Xx = rng.uniform(-1, 1, size=(400, 2))
     yx = np.where(Xx[:, 0] * Xx[:, 1] > 0, "P", "N")
-    xor_acc = (train_mlp(Xx, yx, seed=3).predict(Xx) == yx).mean()
+    xor_acc = (MLPClassifier(seed=3).fit(Xx, yx).predict(Xx) == yx).mean()
     assert xor_acc >= 0.99
 
     n = 150
@@ -263,7 +261,7 @@ def test_criterion_09_classifier_suite():
     yc = np.array(["in"] * n + ["out"] * n)
     idx = rng.permutation(2 * n)
     circ_acc = (
-        train_svm_rbf(Xc[idx[:220]], yc[idx[:220]]).predict(Xc[idx[220:]])
+        RbfSvm().fit(Xc[idx[:220]], yc[idx[:220]]).predict(Xc[idx[220:]])
         == yc[idx[220:]]
     ).mean()
     assert circ_acc >= 0.95

@@ -8,6 +8,7 @@ from cardiomr.diagnosis import (
     MLPClassifier,
     Preprocessor,
     RandomForest,
+    RbfSvm,
     SelectionError,
     StratificationError,
     TrainingError,
@@ -17,12 +18,8 @@ from cardiomr.diagnosis import (
     save_model,
     select_classifiers,
     train_ensemble,
-    train_gnb,
-    train_mlp,
-    train_rf,
-    train_svm_rbf,
 )
-from cardiomr.diagnosis.baselines import KNearestNeighbors, LogisticRegression
+from cardiomr.diagnosis import svm
 from cardiomr.diagnosis.ensemble import _majority, stratified_folds
 from cardiomr.features import FEATURE_NAMES
 
@@ -44,13 +41,13 @@ class TestGaussianNB:
     def test_separable_blobs_heldout(self):
         rng = np.random.default_rng(0)
         X, y = blobs(rng)
-        clf = train_gnb(X[:150], y[:150])
+        clf = GaussianNB().fit(X[:150], y[:150])
         assert (clf.predict(X[150:]) == y[150:]).mean() >= 0.99
 
     def test_single_point_per_class_predicts_nearest_mean(self):
         X = np.array([[0.0, 0.0], [10.0, 10.0]])
         y = np.array(["A", "B"])
-        clf = train_gnb(X, y)
+        clf = GaussianNB().fit(X, y)
         assert clf.predict(np.array([[1.0, 1.0]]))[0] == "A"
         assert clf.predict(np.array([[9.0, 9.0]]))[0] == "B"
 
@@ -58,28 +55,28 @@ class TestGaussianNB:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(600, 3))
         y = np.array(["A"] * 400 + ["B"] * 200)
-        clf = train_gnb(X[:500], y[:500])
+        clf = GaussianNB().fit(X[:500], y[:500])
         acc = (clf.predict(X[500:]) == y[500:]).mean()
         majority = (y[500:] == "A").mean()
         assert abs(acc - majority) < 0.2
 
     def test_rejects_single_class(self):
         with pytest.raises(ValueError, match="2 classes"):
-            train_gnb(np.zeros((3, 2)), np.array(["A", "A", "A"]))
+            GaussianNB().fit(np.zeros((3, 2)), np.array(["A", "A", "A"]))
 
 
 class TestRandomForest:
     def test_xor_train_accuracy(self):
         rng = np.random.default_rng(2)
         X, y = xor_data(rng)
-        clf = train_rf(X, y, n_trees=50, seed=0)
+        clf = RandomForest(n_trees=50, seed=0).fit(X, y)
         assert (clf.predict(X) == y).mean() >= 0.95
 
     def test_single_duplicated_sample(self):
         X = np.tile([[1.0, 2.0]], (5, 1))
         X = np.vstack([X, [[5.0, 5.0]]])
         y = np.array(["A"] * 5 + ["B"])
-        clf = train_rf(X, y, n_trees=20, seed=0)
+        clf = RandomForest(n_trees=20, seed=0).fit(X, y)
         assert clf.predict(np.array([[1.0, 2.0]]))[0] == "A"
 
     def test_informative_feature_outranks_noise(self):
@@ -87,15 +84,15 @@ class TestRandomForest:
         inf = rng.uniform(-1, 1, 400)
         X = np.c_[inf, rng.normal(size=400)]
         y = np.where(inf > 0, "P", "N")
-        clf = train_rf(X, y, n_trees=30, seed=1)
+        clf = RandomForest(n_trees=30, seed=1).fit(X, y)
         assert clf.feature_importances_[0] > clf.feature_importances_[1]
         assert clf.feature_importances_std_.shape == (2,)
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(4)
         X, y = blobs(rng, n_per_class=40)
-        a = train_rf(X, y, n_trees=10, seed=7).predict(X)
-        b = train_rf(X, y, n_trees=10, seed=7).predict(X)
+        a = RandomForest(n_trees=10, seed=7).fit(X, y).predict(X)
+        b = RandomForest(n_trees=10, seed=7).fit(X, y).predict(X)
         assert np.array_equal(a, b)
 
 
@@ -103,20 +100,20 @@ class TestMLP:
     def test_xor(self):
         rng = np.random.default_rng(5)
         X, y = xor_data(rng)
-        clf = train_mlp(X, y, seed=3)
+        clf = MLPClassifier(seed=3).fit(X, y)
         assert (clf.predict(X) == y).mean() >= 0.99
 
     def test_separable_blobs_heldout(self):
         rng = np.random.default_rng(6)
         X, y = blobs(rng)
-        clf = train_mlp(X[:150], y[:150], hidden=(32, 32), seed=0, max_epochs=800)
+        clf = MLPClassifier(hidden=(32, 32), seed=0, max_epochs=800).fit(X[:150], y[:150])
         assert (clf.predict(X[150:]) == y[150:]).mean() >= 0.99
 
     def test_bitwise_reproducible_weights(self):
         rng = np.random.default_rng(7)
         X, y = blobs(rng, n_per_class=40)
-        a = train_mlp(X, y, hidden=(16, 16), seed=11, max_epochs=300)
-        b = train_mlp(X, y, hidden=(16, 16), seed=11, max_epochs=300)
+        a = MLPClassifier(hidden=(16, 16), seed=11, max_epochs=300).fit(X, y)
+        b = MLPClassifier(hidden=(16, 16), seed=11, max_epochs=300).fit(X, y)
         assert all(np.array_equal(wa, wb) for wa, wb in zip(a.W_, b.W_))
         assert all(np.array_equal(ba, bb) for ba, bb in zip(a.b_, b.b_))
 
@@ -133,15 +130,15 @@ class TestSvm:
     def test_separable_blobs_heldout_and_kkt(self):
         rng = np.random.default_rng(8)
         X, y = blobs(rng)
-        clf = train_svm_rbf(X[:150], y[:150])
+        clf = RbfSvm().fit(X[:150], y[:150])
         assert (clf.predict(X[150:]) == y[150:]).mean() >= 0.99
-        for svm in clf.pairs_.values():
-            assert np.all(svm.alpha >= -1e-9)
-            assert np.all(svm.alpha <= clf.c + 1e-9)
+        for pair in clf.pairs_.values():
+            assert np.all(pair.alpha >= -1e-9)
+            assert np.all(pair.alpha <= svm.C + 1e-9)
 
     def test_rejects_single_class(self):
         with pytest.raises(ValueError, match="2 classes"):
-            train_svm_rbf(np.zeros((4, 2)), np.array(["A"] * 4))
+            RbfSvm().fit(np.zeros((4, 2)), np.array(["A"] * 4))
 
     def test_concentric_circles(self):
         rng = np.random.default_rng(9)
@@ -151,28 +148,14 @@ class TestSvm:
         X = np.c_[r * np.cos(a), r * np.sin(a)]
         y = np.array(["in"] * n + ["out"] * n)
         idx = rng.permutation(2 * n)
-        clf = train_svm_rbf(X[idx[:220]], y[idx[:220]])
+        clf = RbfSvm().fit(X[idx[:220]], y[idx[:220]])
         assert (clf.predict(X[idx[220:]]) == y[idx[220:]]).mean() >= 0.95
 
     def test_three_class_one_vs_one(self):
         rng = np.random.default_rng(10)
         X, y = blobs(rng, centers=((0, 0), (8, 0), (0, 8)), n_per_class=60)
-        clf = train_svm_rbf(X[:140], y[:140])
+        clf = RbfSvm().fit(X[:140], y[:140])
         assert (clf.predict(X[140:]) == y[140:]).mean() >= 0.95
-
-
-class TestBaselines:
-    def test_logistic_regression_blobs(self):
-        rng = np.random.default_rng(11)
-        X, y = blobs(rng)
-        clf = LogisticRegression().fit(X[:150], y[:150])
-        assert (clf.predict(X[150:]) == y[150:]).mean() >= 0.99
-
-    def test_knn_blobs(self):
-        rng = np.random.default_rng(12)
-        X, y = blobs(rng)
-        clf = KNearestNeighbors(k=5).fit(X[:150], y[:150])
-        assert (clf.predict(X[150:]) == y[150:]).mean() >= 0.99
 
 
 class TestCrossValidation:
@@ -360,7 +343,7 @@ class TestPreprocessor:
     def test_gnb_argmax_invariant_to_uniform_prior_rescale(self):
         rng = np.random.default_rng(22)
         X, y = blobs(rng, n_per_class=30)
-        clf = train_gnb(X, y)
+        clf = GaussianNB().fit(X, y)
         before = clf.predict(X)
         clf.priors_ = clf.priors_ * 3.5  # uniform monotonic rescale
         assert np.array_equal(clf.predict(X), before)

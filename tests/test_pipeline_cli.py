@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from cardiomr.cli import main
-from cardiomr.features import FEATURE_NAMES
+from cardiomr.features import FEATURE_NAMES, MYOCARDIUM_DENSITY_G_PER_ML
+from cardiomr.loss import LossConfig
 from cardiomr.phantoms import heart_label_volume, pulsating_disk_cine
 from cardiomr.pipeline import (
     ConfigError,
@@ -19,6 +20,7 @@ from cardiomr.pipeline import (
     probs_to_labels,
     run_pipeline,
 )
+from cardiomr.roi import RoiConfig
 from cardiomr.volume import LabelVolume, ScalarVolume, load_volume, save_volume
 
 
@@ -73,6 +75,12 @@ class TestConfig:
         cfg = PipelineConfig()
         assert cfg["roi.patch_w"] == 128
         assert cfg["loss.eta"] == 5e-4
+
+    def test_defaults_come_from_their_owners(self):
+        cfg = PipelineConfig()
+        assert cfg.roi_config() == RoiConfig()
+        assert cfg.loss_config() == LossConfig()
+        assert cfg["features.density"] == MYOCARDIUM_DENSITY_G_PER_ML
 
     def test_unknown_key_rejected(self, tmp_path):
         f = tmp_path / "c.cfg"
@@ -401,6 +409,19 @@ class TestCli:
         sidecar = json.loads((out / "aug_000.json").read_text())
         assert {"angle_deg", "shift_mm", "zoom", "noise_sigma",
                 "elastic_grid", "noise_seed", "flips"} <= set(sidecar)
+
+    @pytest.mark.parametrize("lbl_shape", [(8, 8, 2), (8, 7, 3), (8, 8, 3, 1), (8, 8, 3, 3)])
+    def test_augment_labels_off_the_image_grid_exit_2(self, tmp_path, capsys, lbl_shape):
+        cine = ScalarVolume(data=np.zeros((8, 8, 3, 2), dtype=np.float32))
+        lbl = LabelVolume(data=np.zeros(lbl_shape, dtype=np.uint8), spacing=(1.0,) * len(lbl_shape))
+        save_volume(cine, tmp_path / "cine.vol")
+        save_volume(lbl, tmp_path / "lbl.vol")
+        rc = main(["augment", "--input", str(tmp_path / "cine.vol"),
+                   "--labels", str(tmp_path / "lbl.vol"), "--out-dir", str(tmp_path / "aug")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(lbl_shape) in err and "(8, 8, 3, 2)" in err
+        assert not list((tmp_path / "aug").glob("*.vol"))
 
     def test_error_exit_is_nonzero_with_stderr(self, tmp_path, capsys):
         rc = main(["roi", "--input", str(tmp_path / "missing.vol")])

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cardiomr.volume import (
     LabelSchema,
@@ -174,6 +178,13 @@ class TestLoadSave:
         with pytest.raises(VolumeFormatError, match="blank line"):
             load_volume(f, "scalar")
 
+    @pytest.mark.parametrize("spacing", [("nan", "inf", 1.0), (1.0, 1.0, "inf"), (1.0, "NaN", 1.0)])
+    def test_non_finite_spacing_names_element_spacing(self, tmp_path, spacing):
+        f = tmp_path / "v.vol"
+        write_raw(f, 3, (1, 1, 1), spacing, "UINT8", b"\x00")
+        with pytest.raises(VolumeFormatError, match="ElementSpacing"):
+            load_volume(f, "label")
+
     def test_kind_dtype_mismatch(self, tmp_path):
         f = tmp_path / "v.vol"
         write_raw(f, 3, (1, 1, 1), (1, 1, 1), "UINT8", b"\x01")
@@ -181,10 +192,61 @@ class TestLoadSave:
             load_volume(f, "scalar")
 
 
+# Both mutation bases are 2x2x1x1 volumes with spacing 1.5 1.5 8.0 1.0, so
+# this prefix ends where the first spacing value ("1.5") starts.
+_HEADER_TO_SPACING = b"NDims = 4\nDimSize = 2 2 1 1\nElementSpacing = "
+_SPLICES = st.lists(
+    st.tuples(
+        st.integers(0, 200),  # where, modulo the file length + 1
+        st.one_of(st.binary(max_size=4),
+                  st.sampled_from([b"nan", b"inf", b"-0", b"1e999", b" ", b"\n", b"\n\n"])),
+        st.integers(0, 4),  # bytes replaced
+    ),
+    min_size=1, max_size=4,
+)
+
+
+class TestMutatedFiles:
+    @pytest.mark.parametrize("kind", ["scalar", "label"])
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(splices=_SPLICES)
+    @example(splices=[(len(_HEADER_TO_SPACING), b"nan", 3)])
+    @example(splices=[(len(_HEADER_TO_SPACING), b"inf", 3)])
+    def test_load_raises_value_error_or_gives_finite_spacing(self, tmp_path, kind, splices):
+        spacing = (1.5, 1.5, 8.0, 1.0)
+        if kind == "scalar":
+            vol = ScalarVolume(data=np.arange(4, dtype=np.float32).reshape(2, 2, 1, 1),
+                               spacing=spacing)
+        else:
+            vol = LabelVolume(data=np.arange(4, dtype=np.uint8).reshape(2, 2, 1, 1),
+                              spacing=spacing)
+        f = tmp_path / "v.vol"
+        save_volume(vol, f)
+        raw = f.read_bytes()
+        assert raw.startswith(_HEADER_TO_SPACING)
+        for at, new, replaced in splices:
+            at %= len(raw) + 1
+            raw = raw[:at] + new + raw[at + replaced:]
+        f.write_bytes(raw)
+        try:
+            loaded = load_volume(f, kind)
+        except ValueError:  # VolumeFormatError and VolumeSizeError included
+            return
+        assert all(0 < s < math.inf for s in loaded.spacing)
+
+
 class TestTypes:
     def test_scalar_requires_positive_spacing(self):
         with pytest.raises(ValueError, match="spacing"):
             ScalarVolume(data=np.zeros((2, 2, 1, 1)), spacing=(1, 0, 1, 1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_volumes_reject_non_finite_spacing(self, bad):
+        with pytest.raises(ValueError, match="spacing"):
+            ScalarVolume(data=np.zeros((2, 2, 1, 1)), spacing=(1, bad, 1, 1))
+        with pytest.raises(ValueError, match="spacing"):
+            LabelVolume(data=np.zeros((2, 2, 1), dtype=np.uint8), spacing=(bad, 1, 1))
 
     def test_scalar_rejects_non_finite(self):
         data = np.zeros((2, 2, 1, 1))
