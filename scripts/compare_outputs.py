@@ -6,15 +6,20 @@ For this checkout and for BASE_TREE, a child interpreter imports
 ``cardiomr`` from ``TREE/src``, writes the benchmark's seeded ACDC-sized
 cases (cine, noisy and clean ED/ES labels, and the model they are
 classified with) with that tree's own ``bench/inputs.py``, and runs
-``run_pipeline`` on every case. On the first case of each seed it also runs
-``cardiomr roi --out-patch`` and ``cardiomr augment --labels --count 2
---flips`` on that patch, through ``cli.main``. The artifacts
-(``report.json``, ``roi_patch.vol`` and the cleaned labels of every case;
-the ROI center, patch and augmented pairs with their sidecars of the first
-case) are then compared byte for byte. The inputs are not compared, so a
-change to how a model or a volume is stored passes as long as the pipeline
-reads back the same data. Exits 0 when all artifacts are identical, 1
-otherwise, listing the files that differ or exist on one side only.
+``run_pipeline`` on every case. On every case it also runs ``cardiomr eval``
+on the raw, uncleaned ED and ES segmentations against their ground truths:
+their islands and holes put points of nearly every class off the other
+mask, which the cleaned labels scored in ``report.json`` rarely do, so the
+CSVs exercise the Hausdorff distance where it is not zero. On the first
+case of each seed it also runs ``cardiomr roi --out-patch`` and ``cardiomr
+augment --labels --count 2 --flips`` on that patch. These commands run
+through ``cli.main``. The artifacts (``report.json``, ``roi_patch.vol``,
+the cleaned labels and the two eval CSVs of every case; the ROI center,
+patch and augmented pairs with their sidecars of the first case) are then
+compared byte for byte. The inputs are not compared, so a change to how a
+model or a volume is stored passes as long as the pipeline reads back the
+same data. Exits 0 when all artifacts are identical, 1 otherwise, listing
+the files that differ or exist on one side only.
 """
 
 from __future__ import annotations
@@ -62,6 +67,13 @@ def write_cli_outputs(case, out: Path) -> None:
             "--seed", AUGMENT_SEED, "--out-dir", out / "augment")
 
 
+def write_eval_csvs(case, out: Path) -> None:
+    """``eval`` of the raw ED and ES segmentations against their ground truths."""
+    out.mkdir()
+    for phase, seg, gt in (("ed", case.seg_ed, case.gt_ed), ("es", case.seg_es, case.gt_es)):
+        run_cli("eval", "--pred", seg, "--gt", gt, "--csv", out / f"{phase}.csv")
+
+
 def write_outputs(tree: Path, out: Path) -> None:
     """Child side: inputs and pipeline artifacts of every case of every seed."""
     sys.path.insert(0, str(tree / "bench"))
@@ -76,11 +88,13 @@ def write_outputs(tree: Path, out: Path) -> None:
         cases, model = inputs.write_acdc_inputs(seed, out / f"seed{seed}", N_CASES, N_MODEL_CASES)
         for case in cases:
             run_pipeline(case.cine, case.cine.parent / "out", **case.pipeline_kwargs(model))
+            write_eval_csvs(case, case.cine.parent / "eval")
         write_cli_outputs(cases[0], cases[0].cine.parent / "cli")
 
 
 def artifacts_under(root: Path) -> set:
-    found = list(root.glob("seed*/*/out/*")) + list(root.glob("seed*/*/cli/**/*"))
+    found = [p for pattern in ("seed*/*/out/*", "seed*/*/eval/*", "seed*/*/cli/**/*")
+             for p in root.glob(pattern)]
     return {p.relative_to(root) for p in found if p.is_file()}
 
 

@@ -1,9 +1,23 @@
 """Segmentation evaluation measures.
 
 Overlap scores (Dice, Jaccard), confusion-derived rates, and the exact
-symmetric Hausdorff distance in physical millimeters. The Hausdorff
-default is a KD-tree query; ``method="brute"`` forces the plain
-max-of-min-distances evaluation the tree variant is checked against.
+symmetric Hausdorff distance in physical millimeters.
+
+The default Hausdorff evaluation visits only the points that can set each
+directed distance A -> B: the voxels of A \\ B (a voxel of A ∩ B is at
+distance 0), measured against the boundary of B (voxels of B with a face
+neighbour outside B or outside the array). A nearest voxel of B can always
+be taken on that boundary, in floating point too: from an interior b, one
+step toward a along an axis where they differ stays in B, and since
+``index * spacing``, subtraction, squaring, summation and ``sqrt`` are all
+monotone, the step never raises the computed distance. Both sets are cut
+to the union's bounding box, and coordinates are formed from the full
+array's integer indices, so every distance is the float the full-mask
+evaluation computes. Pairs are compared by chunked numpy brute force; when
+a directed distance needs more than ``BRUTE_MAX_PAIRS`` of them (a badly
+wrong segmentation), a KD-tree over the boundary answers it instead.
+``method="brute"`` evaluates all voxels of both masks, the reference the
+default is checked against.
 """
 
 from __future__ import annotations
@@ -12,8 +26,18 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
+from scipy import ndimage
 
 from .volume import LabelVolume
+
+# Above this many (A \ B, boundary of B) pairs a directed distance comes
+# from a KD-tree over the boundary. At 25e6 pairs brute force (3.8-7.5 ns
+# a pair, 0.09-0.19 s) costs about what importing scipy.spatial and building
+# and querying the tree do in a fresh process: 0.10-0.15 s, 2-core host.
+BRUTE_MAX_PAIRS = 25_000_000
+# Rows per brute-force chunk are chosen so each (rows, |b|) float64
+# temporary stays at 512 kB.
+_CHUNK_PAIRS = 1 << 16
 
 
 class UndefinedDistanceError(ValueError):
@@ -96,49 +120,90 @@ def rates(c: ConfusionCounts) -> Rates:
     )
 
 
-def _coords_mm(mask: np.ndarray, spacing) -> np.ndarray:
-    pts = np.argwhere(mask).astype(np.float64)
-    return pts * np.asarray(spacing, dtype=np.float64)
+def _coords_mm(mask: np.ndarray, spacing: np.ndarray, offset=0) -> np.ndarray:
+    """Physical coordinates of a mask's voxels; ``offset`` is the mask's
+    index origin in the full array, added before scaling."""
+    return (np.argwhere(mask) + offset).astype(np.float64) * spacing
 
 
 def _directed_max_min(a: np.ndarray, b: np.ndarray) -> float:
-    """max over a of min over b of the Euclidean distance, by brute force."""
+    """max over a of min over b of the Euclidean distance, by brute force.
+
+    Squared differences are added axis by axis from the first, the order
+    in which ``((a - b) ** 2).sum(axis=-1)`` and cKDTree add them, so all
+    three give the same floats.
+    """
     worst = 0.0
-    # chunked so the pairwise matrix stays small
-    step = max(1, int(4e6) // max(1, b.shape[0]))
+    step = max(1, _CHUNK_PAIRS // max(1, b.shape[0]))
     for i in range(0, a.shape[0], step):
         chunk = a[i:i + step]
-        d2 = ((chunk[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        d2 = (chunk[:, 0, None] - b[:, 0]) ** 2
+        for k in range(1, b.shape[1]):
+            d2 += (chunk[:, k, None] - b[:, k]) ** 2
         worst = max(worst, float(np.sqrt(d2.min(axis=1)).max()))
     return worst
+
+
+def _bounding_box(mask: np.ndarray) -> tuple:
+    """Per-axis slices of the bounding box of a non-empty mask."""
+    box = []
+    for axis in range(mask.ndim):
+        others = tuple(i for i in range(mask.ndim) if i != axis)
+        hit = np.flatnonzero(mask.any(axis=others))
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    return tuple(box)
+
+
+def _directed_to_boundary(a_only, b, spacing, offset) -> float:
+    """Directed distance from the voxels of A \\ B to B, over B's boundary."""
+    if not a_only.any():
+        return 0.0
+    # the array border counts as outside: binary_erosion's border_value is 0
+    inner = ndimage.binary_erosion(b, ndimage.generate_binary_structure(b.ndim, 1))
+    pa = _coords_mm(a_only, spacing, offset)
+    pb = _coords_mm(b & ~inner, spacing, offset)
+    if pa.shape[0] * pb.shape[0] > BRUTE_MAX_PAIRS:
+        from scipy.spatial import cKDTree  # only here, so the usual case never imports it
+
+        return float(cKDTree(pb).query(pa)[0].max())
+    return _directed_max_min(pa, pb)
 
 
 def hausdorff_mm(pred, gt, spacing, method: str = "kdtree") -> float:
     """Symmetric Hausdorff distance between two binary masks, in mm.
 
-    Coordinates are voxel indices scaled by the per-axis spacing. The
-    computation runs over full masks; for binary masks the directed
-    distances are attained at boundary voxels, so this equals the
-    contour-based value without needing a contour-extraction convention.
+    Coordinates are voxel indices scaled by the per-axis spacing, which
+    must be finite and positive. Over whole masks the directed distances
+    are attained at boundary voxels, so this equals the contour-based value
+    without needing a contour-extraction convention.
+
+    The default method (``"kdtree"``, named for its fallback) measures
+    A \\ B against the face boundary of B in both directions, by brute force
+    up to ``BRUTE_MAX_PAIRS`` point pairs and with a KD-tree above; see the
+    module docstring for why that returns the same floats as ``"brute"``,
+    which compares every voxel of one mask with every voxel of the other.
     """
     p, g = _as_bool(pred), _as_bool(gt)
     if p.shape != g.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
     if len(spacing) != p.ndim:
         raise ValueError(f"spacing needs {p.ndim} components, got {len(spacing)}")
+    scale = np.asarray(spacing, dtype=np.float64)
+    if not np.all(np.isfinite(scale) & (scale > 0)):
+        raise ValueError(f"spacing must be finite and positive, got {tuple(spacing)}")
     if not p.any() or not g.any():
         raise UndefinedDistanceError("Hausdorff distance needs two non-empty masks")
     if method not in ("kdtree", "brute"):
         raise ValueError(f"unknown method {method!r}")
 
-    pa, ga = _coords_mm(p, spacing), _coords_mm(g, spacing)
     if method == "brute":
+        pa, ga = _coords_mm(p, scale), _coords_mm(g, scale)
         return max(_directed_max_min(pa, ga), _directed_max_min(ga, pa))
-    from scipy.spatial import cKDTree  # here, so importing the CLI skips scipy.spatial
-
-    d_pg = cKDTree(ga).query(pa)[0].max()
-    d_gp = cKDTree(pa).query(ga)[0].max()
-    return float(max(d_pg, d_gp))
+    box = _bounding_box(p | g)
+    offset = np.array([s.start for s in box])
+    p, g = p[box], g[box]
+    return max(_directed_to_boundary(p & ~g, g, scale, offset),
+               _directed_to_boundary(g & ~p, p, scale, offset))
 
 
 @dataclass

@@ -124,16 +124,25 @@ def _fill_holes_class_aware(lbl: np.ndarray, priority) -> np.ndarray:
 
     Holes are filled one by one; the order cannot matter, because a ring
     voxel of one hole lying in another would make the two 4-adjacent.
+
+    The work runs on the non-zero box grown by one pixel. Each border row
+    or column of that window is either the slice border or all background
+    and joined to the slice border outside the box, so a background region
+    is enclosed in the window exactly when it is enclosed in the slice, and
+    every hole's ring lies inside the window.
     """
     out = lbl.copy()
-    labels, enclosed = _holes(out == 0)
+    if not out.any():
+        return out
+    win = out[nonzero_window(out, 1)]  # a view: filling it fills ``out``
+    labels, enclosed = _holes(win == 0)
     for hole_id in np.flatnonzero(enclosed):
         hole = labels == hole_id
         ring = ndimage.binary_dilation(hole, structure=_STRUCTURES[(2, 4)]) & ~hole
-        adjacent = set(int(v) for v in np.unique(out[ring]) if v > 0)
+        adjacent = set(int(v) for v in np.unique(win[ring]) if v > 0)
         for cls in priority:
             if cls in adjacent:
-                out[hole] = cls
+                win[hole] = cls
                 break
     return out
 

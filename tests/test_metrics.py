@@ -1,6 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import cardiomr.metrics as metrics_mod
 from cardiomr.metrics import (
     UndefinedDistanceError,
     aggregate_cases,
@@ -152,6 +158,92 @@ class TestHausdorff:
             assert hausdorff_mm(a, b, (1.3, 0.7), "brute") == hausdorff_mm(
                 a, b, (1.3, 0.7), "kdtree"
             )
+
+
+def full_mask_reference(a, b, spacing):
+    """Every voxel against every voxel, as ``method="brute"`` was first written."""
+    pa, pb = (np.argwhere(m).astype(np.float64) * np.asarray(spacing, np.float64)
+              for m in (a, b))
+    d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
+    return float(max(np.sqrt(d2.min(axis=1)).max(), np.sqrt(d2.min(axis=0)).max()))
+
+
+@st.composite
+def mask_pairs(draw):
+    """Two non-empty masks, 2D or 3D, in one of five relations; small
+    shapes make masks touch the array border often."""
+    shape = tuple(draw(st.lists(st.integers(1, 9), min_size=2, max_size=3)))
+    a = draw(arrays(np.bool_, shape))
+    a.flat[draw(st.integers(0, a.size - 1))] = True
+    other = draw(arrays(np.bool_, shape))
+    relation = draw(st.sampled_from(["random", "a_in_b", "b_in_a", "disjoint", "identical"]))
+    b = {"random": other, "a_in_b": a | other, "b_in_a": a & other,
+         "disjoint": other & ~a, "identical": a.copy()}[relation]
+    if not b.any():
+        b = ~a if relation == "disjoint" else a.copy()
+    if not b.any():  # a fills the array, so nothing is disjoint from it
+        b = a.copy()
+    spacing = tuple(draw(st.floats(0.1, 10.0)) for _ in shape)
+    return a, b, spacing
+
+
+class TestReducedHausdorff:
+    """The default method measures A \\ B against B's boundary only."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=mask_pairs())
+    def test_equals_brute_and_full_mask_reference(self, case):
+        a, b, spacing = case
+        got = hausdorff_mm(a, b, spacing)
+        assert got == hausdorff_mm(a, b, spacing, "brute") == full_mask_reference(a, b, spacing)
+
+    def test_kdtree_fallback_gives_the_same_floats(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        cases = []
+        for _ in range(100):
+            shape = tuple(rng.integers(2, 12, size=int(rng.integers(2, 4))))
+            a, b = rng.random(shape) < 0.3, rng.random(shape) < 0.3
+            if a.any() and b.any() and (a != b).any():
+                spacing = tuple(rng.uniform(0.1, 10.0, len(shape)))
+                cases.append((a, b, spacing, hausdorff_mm(a, b, spacing, "brute")))
+
+        def no_brute_force(a, b):
+            raise AssertionError("brute force ran above the pair limit")
+
+        monkeypatch.setattr(metrics_mod, "BRUTE_MAX_PAIRS", 0)
+        monkeypatch.setattr(metrics_mod, "_directed_max_min", no_brute_force)
+        for a, b, spacing, expected in cases:
+            assert hausdorff_mm(a, b, spacing) == expected
+
+    def test_memory_just_under_the_pair_limit(self):
+        # B is a solid 30^3 cube and A is B plus a slab above it, sized so
+        # that |A \ B| * |boundary of B| is just under BRUTE_MAX_PAIRS
+        n_boundary = 30 ** 3 - 28 ** 3
+        n_a = metrics_mod.BRUTE_MAX_PAIRS // n_boundary
+        depth = -(-n_a // 32 ** 2)
+        b = np.zeros((32, 32, 31 + depth), dtype=bool)
+        b[1:31, 1:31, 0:30] = True
+        a = b.copy()
+        a[:, :, 31:] = (np.arange(32 * 32 * depth) < n_a).reshape(32, 32, depth)
+        assert 0.99 * metrics_mod.BRUTE_MAX_PAIRS < n_a * n_boundary <= metrics_mod.BRUTE_MAX_PAIRS
+        tracemalloc.start()
+        try:
+            hd = hausdorff_mm(a, b, (1.4, 1.4, 8.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hd > 0
+        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("method", ["kdtree", "brute"])
+    @pytest.mark.parametrize("spacing", [(float("nan"), 1.0), (1.0, float("inf")),
+                                         (0.0, 1.0), (1.0, -2.0)])
+    def test_bad_spacing_refused(self, method, spacing):
+        a = np.zeros((4, 4), bool)
+        b = np.zeros((4, 4), bool)
+        a[0, 0] = b[0, 0] = True
+        with pytest.raises(ValueError, match="spacing"):
+            hausdorff_mm(a, b, spacing, method)
 
 
 class TestEvaluateCase:

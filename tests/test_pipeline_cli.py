@@ -49,17 +49,21 @@ def static_cine(tmp_path_factory):
     return path
 
 
-def _loaded_by_cli_import(module):
-    """Whether a fresh ``import cardiomr.cli`` loads ``module``."""
+def _loaded_by_cli_import(module, argv=None):
+    """Whether a fresh ``import cardiomr.cli`` loads ``module``; with
+    ``argv``, whether it is loaded once ``cli.main(argv)`` has returned 0."""
     import cardiomr
 
     src = str(Path(cardiomr.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = f"import sys, cardiomr.cli; print({module!r} in sys.modules)"
+    code = "import sys, cardiomr.cli"
+    if argv is not None:
+        code += f"; assert cardiomr.cli.main({argv!r}) == 0"
+    code += f"; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    return out.strip() == "True"
+    return out.strip().splitlines()[-1] == "True"
 
 
 def test_cli_import_leaves_out_scipy_signal():
@@ -68,6 +72,18 @@ def test_cli_import_leaves_out_scipy_signal():
 
 def test_cli_import_leaves_out_scipy_spatial():
     assert not _loaded_by_cli_import("scipy.spatial")
+
+
+def test_pipeline_with_ground_truth_leaves_out_scipy_spatial(case, tmp_path):
+    # the ground truths are swapped, so the LV and MYO distances are non-zero
+    out = tmp_path / "out"
+    argv = ["pipeline", "--input", str(case / "cine.vol"),
+            "--seg-ed", str(case / "ed.vol"), "--seg-es", str(case / "es.vol"),
+            "--gt-ed", str(case / "es.vol"), "--gt-es", str(case / "ed.vol"),
+            "--out-dir", str(out)]
+    assert not _loaded_by_cli_import("scipy.spatial", argv)
+    metrics = json.loads((out / "report.json").read_text())["stages"]["metrics"]
+    assert all(phase[name]["hd_mm"] > 0 for phase in metrics.values() for name in ("LV", "MYO"))
 
 
 class TestConfig:

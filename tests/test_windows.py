@@ -17,6 +17,7 @@ from cardiomr.features import mwt_per_slice
 from cardiomr.loss import class_contour
 from cardiomr.phantoms import annulus_mask, disease_cohort, pulsating_disk_cine
 from cardiomr.postprocess import (
+    _fill_holes_class_aware,
     connected_components,
     fill_holes,
     keep_largest,
@@ -82,6 +83,26 @@ def reference_keep_largest(mask, connectivity):
     return comp.labels == best_id
 
 
+def reference_fill_holes_class_aware(lbl, priority):
+    """The class-aware hole fill over the whole slice."""
+    out = lbl.copy()
+    cross = ndimage.generate_binary_structure(2, 1)
+    labels, n = ndimage.label(out == 0, structure=cross)
+    enclosed = np.arange(n + 1) > 0
+    if n:
+        for edge in (labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]):
+            enclosed[edge] = False
+    for hole_id in np.flatnonzero(enclosed):
+        hole = labels == hole_id
+        ring = ndimage.binary_dilation(hole, structure=cross) & ~hole
+        adjacent = set(int(v) for v in np.unique(out[ring]) if v > 0)
+        for cls in priority:
+            if cls in adjacent:
+                out[hole] = cls
+                break
+    return out
+
+
 def reference_locate_roi(v, cfg):
     """locate_roi with Canny and Hough on every whole slice."""
     h1 = roi_mod.temporal_h1(v)
@@ -139,6 +160,30 @@ def blob_masks(max_side=40):
             x1, y1 = draw(st.integers(x0, nx - 1)), draw(st.integers(y0, ny - 1))
             mask[x0:x1 + 1, y0:y1 + 1] = True
         return mask
+    return build()
+
+
+def ring_slices(max_side=24):
+    """Label slices of box outlines of random classes over sparse random
+    pixels (or none). Outlines lie on the slice border as often as not, and
+    always on the window's edge; some have a gap that opens the box."""
+    @st.composite
+    def build(draw):
+        nx, ny = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+        lbl = np.zeros((nx, ny), dtype=np.uint8)
+        if draw(st.booleans()):
+            lbl = draw(arrays(np.uint8, (nx, ny), elements=st.sampled_from([0] * 5 + [1, 2, 3])))
+        for _ in range(draw(st.integers(0, 3))):
+            x0 = draw(st.sampled_from([0, draw(st.integers(0, nx - 1))]))
+            y0 = draw(st.sampled_from([0, draw(st.integers(0, ny - 1))]))
+            x1 = draw(st.sampled_from([nx - 1, draw(st.integers(x0, nx - 1))]))
+            y1 = draw(st.sampled_from([ny - 1, draw(st.integers(y0, ny - 1))]))
+            cls = draw(st.integers(1, 3))
+            lbl[x0:x1 + 1, [y0, y1]] = cls
+            lbl[[x0, x1], y0:y1 + 1] = cls
+            if draw(st.booleans()):
+                lbl[draw(st.integers(x0, x1)), y0] = 0
+        return lbl
     return build()
 
 
@@ -205,6 +250,33 @@ class TestNonzeroWindow:
 
     def test_zero_size_image_has_no_edges(self):
         assert canny_edges(np.zeros((0, 0)), 1.0, 0.1, 0.2).shape == (0, 0)
+
+
+# -- class-aware hole fill --------------------------------------------------
+
+class TestClassAwareHoleFill:
+    def test_holes_on_the_slice_border_and_the_window_edge(self):
+        lbl = np.zeros((16, 18), dtype=np.uint8)
+        lbl[0:4, 0:5] = 2              # a ring in the slice corner, touching LV
+        lbl[1:3, 1:4] = 0
+        lbl[2, 2] = 1
+        lbl[6:11, 8:13] = 3            # a ring on the window's bottom and right edges
+        lbl[7:10, 9:12] = 0
+        lbl[8:11, 2:6] = 1             # a box open towards the window's bottom edge
+        lbl[9, 3:5] = 0
+        lbl[10, 4] = 0
+        assert nonzero_window(lbl, 1) == (slice(0, 12), slice(0, 14))
+        for priority in ([3, 2, 1], [1, 2, 3]):
+            got = _fill_holes_class_aware(lbl, priority)
+            assert np.array_equal(got, reference_fill_holes_class_aware(lbl, priority))
+            assert got[1, 1] == (1 if priority[0] == 1 else 2)
+            assert got[8, 10] == 3 and got[9, 3] == 0
+
+    @PROPERTY
+    @given(lbl=ring_slices(), priority=st.permutations([1, 2, 3]))
+    def test_windowed_equals_whole_slice(self, lbl, priority):
+        assert np.array_equal(_fill_holes_class_aware(lbl, priority),
+                              reference_fill_holes_class_aware(lbl, priority))
 
 
 # -- class_contour ----------------------------------------------------------
