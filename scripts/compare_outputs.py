@@ -7,15 +7,18 @@ For this checkout and for BASE_TREE, a child interpreter imports
 cases (cine, noisy and clean ED/ES labels, and the model they are
 classified with) with that tree's own ``bench/inputs.py``, and runs
 ``run_pipeline`` on every case. On every case it also runs ``cardiomr eval``
-on the raw, uncleaned ED and ES segmentations against their ground truths:
-their islands and holes put points of nearly every class off the other
-mask, which the cleaned labels scored in ``report.json`` rarely do, so the
-CSVs exercise the Hausdorff distance where it is not zero. On the first
-case of each seed it also runs ``cardiomr roi --out-patch`` and ``cardiomr
-augment --labels --count 2 --flips`` on that patch. These commands run
-through ``cli.main``. The artifacts (``report.json``, ``roi_patch.vol``,
-the cleaned labels and the two eval CSVs of every case; the ROI center,
-patch and augmented pairs with their sidecars of the first case) are then
+on the raw, uncleaned ED and ES segmentations against their ground truths,
+and ``cardiomr features`` on the same raw pair. Their islands and holes put
+points of nearly every class off the other mask, which the cleaned labels
+scored in ``report.json`` rarely do, so the eval CSVs exercise the
+Hausdorff distance where it is not zero; and they give the wall-thickness
+kernel the noisy contours the pipeline, which measures only cleaned labels,
+never shows it. On the first case of each seed it also runs ``cardiomr roi
+--out-patch`` and ``cardiomr augment --labels --count 2 --flips`` on that
+patch. These commands run through ``cli.main``. The artifacts
+(``report.json``, ``roi_patch.vol``, the cleaned labels, the two eval CSVs
+and the features CSV of every case; the ROI center, patch and augmented
+pairs with their sidecars of the first case) are then
 compared byte for byte. The inputs are not compared, so a change to how a
 model or a volume is stored passes as long as the pipeline reads back the
 same data. Exits 0 when all artifacts are identical, 1 otherwise, listing
@@ -67,11 +70,14 @@ def write_cli_outputs(case, out: Path) -> None:
             "--seed", AUGMENT_SEED, "--out-dir", out / "augment")
 
 
-def write_eval_csvs(case, out: Path) -> None:
-    """``eval`` of the raw ED and ES segmentations against their ground truths."""
+def write_raw_label_csvs(case, out: Path) -> None:
+    """``eval`` of the raw ED and ES segmentations against their ground
+    truths, and ``features`` of the raw pair."""
     out.mkdir()
     for phase, seg, gt in (("ed", case.seg_ed, case.gt_ed), ("es", case.seg_es, case.gt_es)):
         run_cli("eval", "--pred", seg, "--gt", gt, "--csv", out / f"{phase}.csv")
+    run_cli("features", "--ed", case.seg_ed, "--es", case.seg_es, "--case-id", "raw",
+            "--out", out / "features.csv")
 
 
 def write_outputs(tree: Path, out: Path) -> None:
@@ -88,7 +94,7 @@ def write_outputs(tree: Path, out: Path) -> None:
         cases, model = inputs.write_acdc_inputs(seed, out / f"seed{seed}", N_CASES, N_MODEL_CASES)
         for case in cases:
             run_pipeline(case.cine, case.cine.parent / "out", **case.pipeline_kwargs(model))
-            write_eval_csvs(case, case.cine.parent / "eval")
+            write_raw_label_csvs(case, case.cine.parent / "eval")
         write_cli_outputs(cases[0], cases[0].cine.parent / "cli")
 
 

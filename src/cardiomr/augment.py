@@ -200,4 +200,4 @@ def augment_volume(vol: ScalarVolume, lbl: LabelVolume | None, p: AugmentParams,
     img = ScalarVolume(data=img_out, spacing=vol.spacing)
     if lbl is None:
         return img, None
-    return img, LabelVolume(data=lbl_out, spacing=lbl.spacing, schema=lbl.schema)
+    return img, LabelVolume(data=lbl_out, spacing=lbl.spacing)

@@ -1,9 +1,11 @@
 """Command-line interface.
 
-One executable with a subcommand per pipeline capability. Every
-subcommand accepts ``--config FILE`` (flat key=value) and honors
-CARDIOMR_* environment overrides; diagnostics go to stderr, data goes to
-files, or to stdout when ``--out -`` is given. Exit code 0 on success.
+One executable with a subcommand per pipeline capability. The
+subcommands that read configuration (``roi``, ``weights``, ``loss``,
+``postproc``, ``features`` and ``pipeline``) accept ``--config FILE`` (flat
+key=value) and honor CARDIOMR_* environment overrides; diagnostics go to
+stderr, data goes to files, or to stdout when ``--out -`` is given. Exit
+code 0 on success.
 """
 
 from __future__ import annotations
@@ -119,9 +121,9 @@ def _cmd_postproc(args) -> int:
     lbl = load_volume(args.input, "label")
     cleaned = postprocess_labels(
         lbl,
-        skip_3d=args.skip_3d or cfg["postproc.skip_3d"],
-        skip_2d=args.skip_2d or cfg["postproc.skip_2d"],
-        skip_fill=args.skip_fill or cfg["postproc.skip_fill"],
+        skip_3d=cfg["postproc.skip_3d"],
+        skip_2d=cfg["postproc.skip_2d"],
+        skip_fill=cfg["postproc.skip_fill"],
     )
     save_volume(cleaned, args.output)
     return 0
@@ -317,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--flips", action="store_true", help="also sample random flips")
     p.add_argument("--out-dir", required=True)
-    _add_config_flag(p)
     p.set_defaults(func=_cmd_augment)
 
     p = sub.add_parser("weights", help="spatial weight map volume from labels")
@@ -340,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("postproc", help="clean a label volume")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--skip-3d", action="store_true")
-    p.add_argument("--skip-2d", action="store_true")
-    p.add_argument("--skip-fill", action="store_true")
+    for key in ("skip_3d", "skip_2d", "skip_fill"):
+        p.add_argument(f"--{key.replace('_', '-')}", action="store_const", const=True,
+                       dest=f"cfg__postproc__{key}")
     _add_config_flag(p)
     p.set_defaults(func=_cmd_postproc)
 
@@ -350,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--csv", default="-")
-    _add_config_flag(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("features", help="20-feature record from ED/ES labels")
@@ -369,14 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trees", type=int, default=1000)
     p.add_argument("--mode", choices=("all", "selected"), default="all")
-    _add_config_flag(p)
     p.set_defaults(func=_cmd_train_clf)
 
     p = sub.add_parser("predict", help="predict disease labels for feature records")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", default="-")
-    _add_config_flag(p)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("netinfo", help="shapes and parameter counts of a variant")
@@ -391,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--dot", help="write a GraphViz DOT file")
     p.add_argument("--out", default="-")
-    _add_config_flag(p)
     p.set_defaults(func=_cmd_netinfo)
 
     p = sub.add_parser("pipeline", help="run one case end to end")

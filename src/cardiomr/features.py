@@ -17,9 +17,10 @@ import numpy as np
 from scipy import ndimage
 
 from .loss import class_contour
+from .metrics import _coords_mm, _nearest_distances
 from .postprocess import fill_holes
 from .roi import canny_reach, nonzero_window
-from .volume import LabelVolume
+from .volume import ACDC_SCHEMA, LabelVolume
 
 MYOCARDIUM_DENSITY_G_PER_ML = 1.05  # standard clinical constant
 
@@ -66,34 +67,6 @@ class MWTResult:
         return np.array([s.std for s in self.slices])
 
 
-# Table of the 20 features, in fixed record and CSV order.
-FEATURE_NAMES = (
-    "lv_volume_ed_ml",
-    "lv_volume_es_ml",
-    "rv_volume_ed_ml",
-    "rv_volume_es_ml",
-    "myo_mass_ed_g",
-    "myo_volume_es_ml",
-    "lv_ejection_fraction",
-    "rv_ejection_fraction",
-    "lv_rv_volume_ratio_ed",
-    "lv_rv_volume_ratio_es",
-    "myo_lv_volume_ratio_es",
-    "myo_mass_lv_volume_ratio_ed",
-    "mwt_max_of_means_ed_mm",
-    "mwt_std_of_means_ed_mm",
-    "mwt_mean_of_stds_ed_mm",
-    "mwt_std_of_stds_ed_mm",
-    "mwt_max_of_means_es_mm",
-    "mwt_std_of_means_es_mm",
-    "mwt_mean_of_stds_es_mm",
-    "mwt_std_of_stds_es_mm",
-)
-
-# The ES wall-thickness statistics drive the MINF/DCM expert classifier.
-ES_MWT_FEATURES = FEATURE_NAMES[16:20]
-
-
 @dataclass(frozen=True)
 class FeatureRecord:
     lv_volume_ed_ml: Optional[float] = None
@@ -135,8 +108,12 @@ class FeatureRecord:
             for name, v in zip(FEATURE_NAMES, vec)
         })
 
-    def __post_init__(self):
-        assert tuple(f.name for f in fields(self)) == FEATURE_NAMES
+
+# The 20 features in fixed record and CSV order: the fields above.
+FEATURE_NAMES = tuple(f.name for f in fields(FeatureRecord))
+
+# The ES wall-thickness statistics drive the MINF/DCM expert classifier.
+ES_MWT_FEATURES = FEATURE_NAMES[16:20]
 
 
 def class_volume_ml(lbl: LabelVolume, class_id: int) -> float:
@@ -148,7 +125,7 @@ def class_volume_ml(lbl: LabelVolume, class_id: int) -> float:
 
 def myo_mass_g(lbl_ed: LabelVolume, density: float = MYOCARDIUM_DENSITY_G_PER_ML) -> float:
     """Myocardial mass in grams from the ED segmentation."""
-    return class_volume_ml(lbl_ed, lbl_ed.schema.id_of("MYO")) * density
+    return class_volume_ml(lbl_ed, ACDC_SCHEMA.id_of("MYO")) * density
 
 
 def ejection_fraction(edv: float, esv: float) -> Optional[float]:
@@ -199,17 +176,15 @@ def mwt_per_slice(lbl_slice: np.ndarray, spacing, myo_id: int = 2) -> Optional[M
     # spacing as without the crop
     offset = np.array([wx.start, wy.start])
     scale = np.asarray(spacing[:2], dtype=np.float64)
-    e_pts = (np.argwhere(exterior) + offset) * scale
-    i_pts = (np.argwhere(interior) + offset) * scale
-    d2 = ((i_pts[:, None, :] - e_pts[None, :, :]) ** 2).sum(axis=2)
-    return MwtSlice(z=-1, thickness_mm=np.sqrt(d2.min(axis=1)))
+    return MwtSlice(z=-1, thickness_mm=_nearest_distances(
+        _coords_mm(interior, scale, offset), _coords_mm(exterior, scale, offset)))
 
 
 def mwt_result(lbl: LabelVolume) -> MWTResult:
     """Per-slice wall thickness over a 3D label volume."""
     if lbl.data.ndim != 3:
         raise ValueError("mwt_result expects a 3D label volume")
-    myo_id = lbl.schema.id_of("MYO")
+    myo_id = ACDC_SCHEMA.id_of("MYO")
     slices: List[MwtSlice] = []
     excluded: List[tuple] = []
     for z in range(lbl.dims[2]):
@@ -253,14 +228,13 @@ def extract_features(phases: PhaseLabels, density: float = MYOCARDIUM_DENSITY_G_
     slices stay None (missing markers); everything else is computed.
     """
     ed, es = phases.ed, phases.es
-    schema = ed.schema
-    lv, rv = schema.id_of("LV"), schema.id_of("RV")
+    lv, rv = ACDC_SCHEMA.id_of("LV"), ACDC_SCHEMA.id_of("RV")
 
     lv_ed = class_volume_ml(ed, lv)
     lv_es = class_volume_ml(es, lv)
     rv_ed = class_volume_ml(ed, rv)
     rv_es = class_volume_ml(es, rv)
-    myo_es = class_volume_ml(es, schema.id_of("MYO"))
+    myo_es = class_volume_ml(es, ACDC_SCHEMA.id_of("MYO"))
     mass_ed = myo_mass_g(ed, density)
 
     ed_mwt = mwt_profile_features(mwt_result(ed))

@@ -149,7 +149,7 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def probs_to_labels(prob_volume: ScalarVolume, schema=None) -> LabelVolume:
+def probs_to_labels(prob_volume: ScalarVolume) -> LabelVolume:
     """Argmax a per-class probability volume (class on the t axis).
 
     Raises ValueError when any probability is NaN, whose class argmax
@@ -158,8 +158,7 @@ def probs_to_labels(prob_volume: ScalarVolume, schema=None) -> LabelVolume:
     if np.isnan(prob_volume.data).any():
         raise ValueError("probability volume contains NaN")
     data = np.argmax(prob_volume.data, axis=3).astype(np.uint8)
-    kwargs = {"schema": schema} if schema is not None else {}
-    return LabelVolume(data=data, spacing=prob_volume.spacing[:3], **kwargs)
+    return LabelVolume(data=data, spacing=prob_volume.spacing[:3])
 
 
 def roi_stage(cine_path, cfg: RoiConfig, patch_path=None) -> dict:

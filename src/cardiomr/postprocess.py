@@ -157,26 +157,13 @@ def postprocess_labels(
     """Clean a multi-class label volume.
 
     Accepts a LabelVolume or a plain 2D/3D integer array and returns the
-    same kind. Foreground classes are processed LV, then MYO, then RV
-    (falling back to descending label id for non-cardiac schemas);
-    hole filling assigns each enclosed background region the
-    highest-priority adjacent class, so a cavity enclosed by MYO that
-    touches LV becomes LV.
+    same kind. The foreground classes present are processed in descending
+    id order, which for ACDC ids is LV, then MYO, then RV; hole filling
+    assigns each enclosed background region the highest-priority adjacent
+    class, so a cavity enclosed by MYO that touches LV becomes LV.
     """
-    if isinstance(lbl, LabelVolume):
-        data = np.array(lbl.data)
-        schema = lbl.schema
-        names = dict(schema.entries)
-        priority = [
-            schema.id_of(n) for n in ("LV", "MYO", "RV") if n in schema.names
-        ]
-        priority += [
-            i for i in sorted(schema.foreground_ids, reverse=True) if i not in priority
-        ]
-    else:
-        data = np.array(lbl)
-        schema = None
-        priority = sorted(int(v) for v in np.unique(data) if v > 0)[::-1]
+    is_volume = isinstance(lbl, LabelVolume)
+    data = np.array(lbl.data if is_volume else lbl)
 
     squeeze_2d = data.ndim == 2
     if squeeze_2d:
@@ -184,8 +171,7 @@ def postprocess_labels(
     if data.ndim != 3:
         raise ValueError("postprocess_labels expects 2D or 3D labels")
 
-    classes = [int(v) for v in np.unique(data) if v > 0]
-    ordered = [c for c in priority if c in classes]
+    ordered = [int(v) for v in np.unique(data) if v > 0][::-1]
 
     # The slice-wise pass can disconnect the surviving 3D component, so the
     # two passes repeat until stable; removals are monotone, so this
@@ -216,10 +202,10 @@ def postprocess_labels(
 
     if not skip_fill:
         for z in range(data.shape[2]):
-            data[:, :, z] = _fill_holes_class_aware(data[:, :, z], priority)
+            data[:, :, z] = _fill_holes_class_aware(data[:, :, z], ordered)
 
     if squeeze_2d:
         data = data[:, :, 0]
-    if schema is not None:
-        return LabelVolume(data=data, spacing=lbl.spacing, schema=schema)
+    if is_volume:
+        return LabelVolume(data=data, spacing=lbl.spacing)
     return data

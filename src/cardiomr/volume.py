@@ -2,7 +2,8 @@
 
 Scalar volumes are 4D ``(nx, ny, nz, nt)`` float32 grids with per-axis
 physical spacing (mm for x/y/z, ms or unitless for t). Label volumes are
-3D or 4D uint8 grids whose values must belong to a :class:`LabelSchema`.
+3D or 4D uint8 grids over the ACDC-2017 classes; :data:`ACDC_SCHEMA` is the
+one table of which id is which class (0=BG, 1=RV, 2=MYO, 3=LV).
 Voxel storage order is x-fastest throughout: element ``(x, y, z, t)`` sits
 at flat index ``x + nx*(y + ny*(z + nz*t))``.
 """
@@ -10,7 +11,7 @@ at flat index ``x + nx*(y + ny*(z + nz*t))``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +45,6 @@ class LabelSchema:
     @property
     def ids(self):
         return tuple(i for i, _ in self.entries)
-
-    @property
-    def names(self):
-        return tuple(n for _, n in self.entries)
 
     def id_of(self, name: str) -> int:
         for i, n in self.entries:
@@ -112,21 +109,20 @@ class ScalarVolume:
 
 @dataclass(frozen=True)
 class LabelVolume:
-    """Immutable 3D/4D integer label grid over a :class:`LabelSchema`."""
+    """Immutable 3D/4D integer label grid whose values are ids of
+    :data:`ACDC_SCHEMA`."""
 
     data: np.ndarray
     spacing: tuple = (1.0, 1.0, 1.0)
-    schema: LabelSchema = field(default_factory=LabelSchema)
 
     def __post_init__(self):
         data = np.asarray(self.data)
         if data.ndim not in (3, 4):
             raise ValueError(f"label volume must be 3D or 4D, got {data.ndim}D")
         present = np.unique(data)
-        allowed = set(self.schema.ids)
-        bad = [int(v) for v in present if int(v) not in allowed]
+        bad = [int(v) for v in present if int(v) not in ACDC_SCHEMA.ids]
         if bad:
-            raise ValueError(f"labels {bad} are not in the schema {self.schema.ids}")
+            raise ValueError(f"labels {bad} are not in the schema {ACDC_SCHEMA.ids}")
         spacing = tuple(float(s) for s in self.spacing)
         if len(spacing) != data.ndim or any(not 0 < s < math.inf for s in spacing):
             raise ValueError(
@@ -350,4 +346,4 @@ def pad_or_center_crop(v, target):
     data = _resize_axis(_resize_axis(v.data, 0, w), 1, h)
     if isinstance(v, ScalarVolume):
         return ScalarVolume(data=data, spacing=v.spacing)
-    return LabelVolume(data=data, spacing=v.spacing, schema=v.schema)
+    return LabelVolume(data=data, spacing=v.spacing)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -132,6 +134,20 @@ class TestMwtPerSlice:
     def test_solid_disk_degenerate(self):
         sl = np.where(disk_mask((32, 32), (16, 16), 8), 2, 0).astype(np.uint8)
         assert mwt_per_slice(sl, (1, 1)) is None
+
+    def test_noisy_slice_memory_is_bounded(self):
+        # raw network output can be this noisy; an (|interior|, |exterior|)
+        # distance matrix built at once would take ~160 MB on this slice
+        rng = np.random.default_rng(0)
+        sl = np.where(rng.random((224, 224)) < 0.3, 2, 0).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            entry = mwt_per_slice(sl, (1.25, 1.25))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert entry is not None and entry.thickness_mm.size > 0
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestMwtResultAndProfile:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cardiomr.cli import main
+from cardiomr.cli import build_parser, main
 from cardiomr.features import FEATURE_NAMES, MYOCARDIUM_DENSITY_G_PER_ML
 from cardiomr.loss import LossConfig
 from cardiomr.phantoms import heart_label_volume, pulsating_disk_cine
@@ -443,6 +444,37 @@ class TestCli:
         rc = main(["roi", "--input", str(tmp_path / "missing.vol")])
         assert rc != 0
         assert "error" in capsys.readouterr().err.lower()
+
+    def test_config_flag_only_where_configuration_is_read(self, tmp_path):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        with_config = {
+            name for name, p in sub.choices.items()
+            if any("--config" in a.option_strings for a in p._actions)
+        }
+        assert with_config == {"roi", "weights", "loss", "postproc", "features", "pipeline"}
+        with pytest.raises(SystemExit) as exc:
+            main(["netinfo", "--config", str(tmp_path / "missing.cfg")])
+        assert exc.value.code == 2
+
+    def test_postproc_skip_flag_equals_config_key(self, case, tmp_path, monkeypatch):
+        monkeypatch.delenv("CARDIOMR_POSTPROC_SKIP_FILL", raising=False)
+        noisy = load_volume(case / "ed.vol", "label")
+        data = np.array(noisy.data)
+        x, y = np.argwhere(data[:, :, 0] == 3).mean(axis=0).round().astype(int)
+        assert (data[x - 1:x + 2, y - 1:y + 2, 0] == 3).all()
+        data[x, y, 0] = 0  # a hole in the LV that only the fill pass closes
+        save_volume(LabelVolume(data=data, spacing=noisy.spacing), tmp_path / "in.vol")
+        cfg = tmp_path / "skip.cfg"
+        cfg.write_text("postproc.skip_fill = true\n")
+        runs = {"flag": ["--skip-fill"], "config": ["--config", str(cfg)], "default": []}
+        for name, extra in runs.items():
+            assert main(["postproc", "--input", str(tmp_path / "in.vol"),
+                         "--output", str(tmp_path / f"{name}.vol")] + extra) == 0
+        out = {name: load_volume(tmp_path / f"{name}.vol", "label").data for name in runs}
+        assert np.array_equal(out["flag"], out["config"])
+        assert out["flag"][x, y, 0] == 0
+        assert out["default"][x, y, 0] == 3
 
 
 class TestCsvColumns:

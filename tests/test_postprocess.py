@@ -285,6 +285,14 @@ class TestPostprocessRounds:
         got = postprocess_labels(lbl, skip_3d=skip_3d, skip_2d=skip_2d, skip_fill=skip_fill)
         assert np.array_equal(got, reference_postprocess(lbl, skip_3d, skip_2d, skip_fill))
 
+    @settings(max_examples=100, deadline=None)
+    @given(lbl=sparse_labels(), skips=st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    def test_label_volume_follows_the_array_rule(self, lbl, skips):
+        skip_3d, skip_2d, skip_fill = skips
+        kw = dict(skip_3d=skip_3d, skip_2d=skip_2d, skip_fill=skip_fill)
+        got = postprocess_labels(LabelVolume(data=lbl), **kw)
+        assert np.array_equal(got.data, postprocess_labels(lbl, **kw))
+
     @pytest.fixture
     def keep_largest_calls(self, monkeypatch):
         """The connectivity of every keep_largest call postprocess_labels makes."""
