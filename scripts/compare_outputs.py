@@ -15,14 +15,17 @@ Hausdorff distance where it is not zero; and they give the wall-thickness
 kernel the noisy contours the pipeline, which measures only cleaned labels,
 never shows it. On the first case of each seed it also runs ``cardiomr roi
 --out-patch`` and ``cardiomr augment --labels --count 2 --flips`` on that
-patch. These commands run through ``cli.main``. The artifacts
-(``report.json``, ``roi_patch.vol``, the cleaned labels, the two eval CSVs
-and the features CSV of every case; the ROI center, patch and augmented
-pairs with their sidecars of the first case) are then
-compared byte for byte. The inputs are not compared, so a change to how a
-model or a volume is stored passes as long as the pipeline reads back the
-same data. Exits 0 when all artifacts are identical, 1 otherwise, listing
-the files that differ or exist on one side only.
+patch. Once per tree it writes ``cardiomr netinfo`` text, ``--json`` and
+``--dot`` output for variants A, B and C at the defaults, and the text of a
+variant C with other depths, growth rate and input size. These commands run
+through ``cli.main``. The artifacts (``report.json``, ``roi_patch.vol``, the
+cleaned labels, the two eval CSVs and the features CSV of every case; the
+ROI center, patch and augmented pairs with their sidecars of the first
+case; the ten ``netinfo`` files) are then compared byte for byte. The
+inputs are not compared, so a change to how a model or a volume is stored
+passes as long as the pipeline reads back the same data. Exits 0 when all
+artifacts are identical, 1 otherwise, listing the files that differ or
+exist on one side only.
 """
 
 from __future__ import annotations
@@ -80,6 +83,18 @@ def write_raw_label_csvs(case, out: Path) -> None:
             "--out", out / "features.csv")
 
 
+def write_netinfo_outputs(out: Path) -> None:
+    """``netinfo`` text, JSON and DOT of each variant at the defaults, and
+    the text of a variant C that changes every size the defaults fix."""
+    out.mkdir()
+    for variant in "ABC":
+        run_cli("netinfo", "--variant", variant, "--out", out / f"{variant}.txt",
+                "--dot", out / f"{variant}.dot")
+        run_cli("netinfo", "--variant", variant, "--json", "--out", out / f"{variant}.json")
+    run_cli("netinfo", "--variant", "C", "--k", 4, "--db-layers", 2, 3, 4, "--db-bottleneck", 5,
+            "--input", "1x64x64", "--out", out / "C_k4_64.txt")
+
+
 def write_outputs(tree: Path, out: Path) -> None:
     """Child side: inputs and pipeline artifacts of every case of every seed."""
     sys.path.insert(0, str(tree / "bench"))
@@ -96,10 +111,11 @@ def write_outputs(tree: Path, out: Path) -> None:
             run_pipeline(case.cine, case.cine.parent / "out", **case.pipeline_kwargs(model))
             write_raw_label_csvs(case, case.cine.parent / "eval")
         write_cli_outputs(cases[0], cases[0].cine.parent / "cli")
+    write_netinfo_outputs(out / "netinfo")
 
 
 def artifacts_under(root: Path) -> set:
-    found = [p for pattern in ("seed*/*/out/*", "seed*/*/eval/*", "seed*/*/cli/**/*")
+    found = [p for pattern in ("seed*/*/out/*", "seed*/*/eval/*", "seed*/*/cli/**/*", "netinfo/*")
              for p in root.glob(pattern)]
     return {p.relative_to(root) for p in found if p.is_file()}
 

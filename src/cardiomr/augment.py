@@ -120,8 +120,8 @@ def apply_augment(img, lbl, p: AugmentParams, spacing=(1.0, 1.0)):
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError("apply_augment expects a 2D image")
-    if spacing[0] <= 0 or spacing[1] <= 0:
-        raise ValueError("spacing must be positive")
+    if any(not 0 < s < np.inf for s in spacing[:2]):
+        raise ValueError(f"spacing must be positive and finite, got {tuple(spacing)}")
     if lbl is not None:
         lbl = np.asarray(lbl)
         if lbl.shape != img.shape:

@@ -125,6 +125,8 @@ def class_volume_ml(lbl: LabelVolume, class_id: int) -> float:
 
 def myo_mass_g(lbl_ed: LabelVolume, density: float = MYOCARDIUM_DENSITY_G_PER_ML) -> float:
     """Myocardial mass in grams from the ED segmentation."""
+    if not 0 < density < np.inf:
+        raise ValueError(f"density must be positive and finite, got {density!r}")
     return class_volume_ml(lbl_ed, ACDC_SCHEMA.id_of("MYO")) * density
 
 

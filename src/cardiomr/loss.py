@@ -32,9 +32,9 @@ class LossConfig:
     dice_two_factor: bool = True  # standard 2*intersection numerator
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.lam < 0 or self.gamma < 0 or self.eta < 0:
+        if not (self.lam >= 0 and self.gamma >= 0 and self.eta >= 0):
             raise ValueError("lam, gamma and eta must be non-negative")
 
 

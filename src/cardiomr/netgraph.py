@@ -1,12 +1,13 @@
 """Symbolic connectivity calculator for the dense fully-convolutional
 segmentation network family.
 
-Builds the layer graph of variants A, B and C, annotates every node with
-its output shape and trainable parameter count, and never touches a
-tensor. Variant A uses concatenation skip joins and plain up-path dense
-blocks; B replaces skips with projection + element-wise addition and adds
-residual shortcuts around up-path dense blocks; C additionally opens with
-parallel 3x3/5x5/7x7 branches fused by concatenation.
+Builds the layer graph of variants A, B and C and never touches a tensor.
+Each node's output shape is worked out from its inputs' shapes as the node
+is added, and each node carries its trainable parameter count. Variant A
+uses concatenation skip joins and plain up-path dense blocks; B replaces
+skips with projection + element-wise addition and adds residual shortcuts
+around up-path dense blocks; C additionally opens with parallel 3x3/5x5/7x7
+branches fused by concatenation.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ class NetConfig:
     input_shape: tuple = (1, 128, 128)
     classes: int = 4
     inception_ratio: tuple = (2, 1, 1)  # 3x3 : 5x5 : 7x7 map split
-    dropout: float = 0.2
 
     def __post_init__(self):
         if self.variant not in ("A", "B", "C"):
@@ -42,6 +42,13 @@ class NetConfig:
             raise ValueError("k, poolings and classes must be >= 1")
         if len(self.db_layers_down) != self.poolings or len(self.db_layers_up) != self.poolings:
             raise ValueError("need one dense-block depth per pooling level on each path")
+        for name, values in (
+            ("f", (self.initial_maps,)), ("db_layers_down", self.db_layers_down),
+            ("db_layers_up", self.db_layers_up), ("input_shape", self.input_shape),
+            ("db_layers_bottleneck", (self.db_layers_bottleneck,)),
+        ):
+            if min(values) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
 
     @property
     def initial_maps(self) -> int:
@@ -51,11 +58,10 @@ class NetConfig:
 @dataclass
 class Node:
     id: int
-    kind: str            # conv/bn/elu/dropout/pool/tconv/concat/add/softmax/input
+    kind: str            # input/conv/bn/elu/dropout/pool/tconv/concat/add/softmax
     name: str
     out_channels: int
     params: int = 0
-    attrs: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -78,136 +84,130 @@ class NetGraph:
 
 
 class _Builder:
+    """Appends nodes in topological order; each node's (C, H, W) is known
+    as it is added, so the helpers read their input widths from it."""
+
     def __init__(self, cfg: NetConfig):
         self.cfg = cfg
         self.nodes: List[Node] = []
         self.edges: List[Tuple[int, int]] = []
+        self.shapes: Dict[int, tuple] = {}
 
-    def add(self, kind, name, out_channels, params=0, inputs=(), **attrs) -> int:
-        node = Node(
-            id=len(self.nodes), kind=kind, name=name,
-            out_channels=out_channels, params=params, attrs=attrs,
-        )
+    def channels(self, node_id: int) -> int:
+        return self.shapes[node_id][0]
+
+    def add(self, kind, name, inputs=(), out_channels=None, params=0) -> int:
+        """Append a node and its shape. Concat, add and pool derive their
+        channels from the inputs; every other kind is given them."""
+        srcs = [self.shapes[s] for s in inputs]
+        if kind == "input":
+            shape = tuple(self.cfg.input_shape)
+        elif kind == "concat":
+            hw = {s[1:] for s in srcs}
+            if len(hw) != 1:
+                raise GraphBuildError(f"node {name}: concat inputs differ in H,W: {hw}")
+            shape = (sum(s[0] for s in srcs),) + srcs[0][1:]
+        elif kind == "add":
+            if len(set(srcs)) != 1:
+                raise GraphBuildError(f"node {name}: add inputs differ: {srcs}")
+            shape = srcs[0]
+        elif kind == "pool":
+            c, h, w = srcs[0]
+            if h % 2 or w % 2:
+                raise GraphBuildError(f"node {name}: cannot halve odd spatial dims {h}x{w}")
+            shape = (c, h // 2, w // 2)
+        elif kind == "tconv":
+            shape = (out_channels, srcs[0][1] * 2, srcs[0][2] * 2)
+        else:  # conv, bn, elu, dropout, softmax: spatial-preserving
+            shape = (out_channels,) + srcs[0][1:]
+        node = Node(id=len(self.nodes), kind=kind, name=name,
+                    out_channels=shape[0], params=params)
         self.nodes.append(node)
+        self.shapes[node.id] = shape
         for src in inputs:
             self.edges.append((src, node.id))
         return node.id
 
-    def conv(self, name, src, c_in, c_out, kernel, stride=1) -> int:
-        params = kernel * kernel * c_in * c_out + c_out
-        return self.add(
-            "conv", name, c_out, params, (src,), kernel=kernel, stride=stride
-        )
+    def conv(self, name, src, c_out, kernel) -> int:
+        params = kernel * kernel * self.channels(src) * c_out + c_out
+        return self.add("conv", name, (src,), c_out, params)
 
-    def bn_elu(self, name, src, channels) -> int:
-        bn = self.add("bn", f"{name}/bn", channels, 2 * channels, (src,))
-        return self.add("elu", f"{name}/elu", channels, 0, (bn,))
+    def composite_layer(self, name, src, c_out, kernel) -> int:
+        """BN -> ELU -> conv(kernel) -> dropout; with kernel 1, the
+        channel-matching projection."""
+        c_in = self.channels(src)
+        x = self.add("bn", f"{name}/bn", (src,), c_in, 2 * c_in)
+        x = self.add("elu", f"{name}/elu", (x,), c_in)
+        x = self.conv(f"{name}/conv{kernel}x{kernel}", x, c_out, kernel)
+        return self.add("dropout", f"{name}/drop", (x,), c_out)
 
-    def dropout(self, name, src, channels) -> int:
-        return self.add("dropout", f"{name}/drop", channels, 0, (src,), rate=self.cfg.dropout)
-
-    def composite_layer(self, name, src, c_in, c_out, kernel) -> int:
-        """BN -> ELU -> conv(kernel) -> dropout."""
-        x = self.bn_elu(name, src, c_in)
-        x = self.conv(f"{name}/conv{kernel}x{kernel}", x, c_in, c_out, kernel)
-        return self.dropout(name, x, c_out)
-
-    def projection(self, name, src, c_in, c_out) -> int:
-        """Channel-matching 1x1 projection: BN -> ELU -> 1x1 conv -> dropout."""
-        return self.composite_layer(name, src, c_in, c_out, kernel=1)
-
-    def dense_block(self, name, src, c_in, n_layers) -> int:
+    def dense_block(self, name, src, n_layers) -> int:
         """Iteratively concatenating block; returns the n_layers*k output."""
-        k = self.cfg.k
         layer_outs: List[int] = []
-        feed, feed_c = src, c_in
+        feed = src
         for i in range(n_layers):
-            out = self.composite_layer(f"{name}/layer{i + 1}", feed, feed_c, k, kernel=3)
+            out = self.composite_layer(f"{name}/layer{i + 1}", feed, self.cfg.k, kernel=3)
             layer_outs.append(out)
             if i < n_layers - 1:
-                feed = self.add(
-                    "concat", f"{name}/cat_in{i + 2}", feed_c + k, 0, (feed, out)
-                )
-                feed_c += k
+                feed = self.add("concat", f"{name}/cat_in{i + 2}", (feed, out))
         if len(layer_outs) == 1:
             return layer_outs[0]
-        return self.add("concat", f"{name}/out", n_layers * k, 0, tuple(layer_outs))
+        return self.add("concat", f"{name}/out", tuple(layer_outs))
 
-    def transition_down(self, name, src, channels) -> int:
-        x = self.composite_layer(f"{name}", src, channels, channels, kernel=1)
-        return self.add("pool", f"{name}/maxpool2x2", channels, 0, (x,), kernel=2, stride=2)
+    def transition_down(self, name, src) -> int:
+        x = self.composite_layer(name, src, self.channels(src), kernel=1)
+        return self.add("pool", f"{name}/maxpool2x2", (x,))
 
-    def transition_up(self, name, src, channels) -> int:
-        params = 3 * 3 * channels * channels + channels
-        return self.add(
-            "tconv", f"{name}/tconv3x3s2", channels, params, (src,), kernel=3, stride=2
-        )
+    def transition_up(self, name, src) -> int:
+        c = self.channels(src)
+        return self.add("tconv", f"{name}/tconv3x3s2", (src,), c, 3 * 3 * c * c + c)
 
 
 def build_graph(cfg: NetConfig) -> NetGraph:
-    """Assemble the symbolic graph of one variant and trace its shapes."""
+    """Assemble the symbolic graph of one variant with every node's shape."""
     b = _Builder(cfg)
-    k = cfg.k
-    f = cfg.initial_maps
-    c_in = cfg.input_shape[0]
-
-    x = b.add("input", "input", c_in)
+    x = b.add("input", "input")
 
     if cfg.variant == "C":
-        split = _split_by_ratio(f, cfg.inception_ratio)
-        branches = []
-        for maps, kernel in zip(split, (3, 5, 7)):
-            if maps <= 0:
-                continue
-            branches.append(
-                b.conv(f"stem/branch{kernel}x{kernel}", x, c_in, maps, kernel)
-            )
-        x = b.add("concat", "stem/fuse", f, 0, tuple(branches))
+        split = _split_by_ratio(cfg.initial_maps, cfg.inception_ratio)
+        branches = [
+            b.conv(f"stem/branch{kernel}x{kernel}", x, maps, kernel)
+            for maps, kernel in zip(split, (3, 5, 7)) if maps > 0
+        ]
+        x = b.add("concat", "stem/fuse", tuple(branches))
     else:
-        x = b.conv("stem/conv3x3", x, c_in, f, 3)
-    channels = f
+        x = b.conv("stem/conv3x3", x, cfg.initial_maps, 3)
 
-    skips: List[Tuple[int, int]] = []  # (node id, channels) per level
+    skips: List[int] = []
     for level, n_layers in enumerate(cfg.db_layers_down, start=1):
-        db = b.dense_block(f"down{level}/db", x, channels, n_layers)
-        merged = b.add(
-            "concat", f"down{level}/cat", channels + n_layers * k, 0, (x, db)
-        )
-        channels += n_layers * k
-        skips.append((merged, channels))
-        x = b.transition_down(f"down{level}/td", merged, channels)
+        db = b.dense_block(f"down{level}/db", x, n_layers)
+        skips.append(b.add("concat", f"down{level}/cat", (x, db)))
+        x = b.transition_down(f"down{level}/td", skips[-1])
 
-    n_bott = cfg.db_layers_bottleneck
-    db = b.dense_block("bottleneck/db", x, channels, n_bott)
-    if cfg.variant == "A":
-        x = db
-    else:
-        proj = b.projection("bottleneck/shortcut_proj", x, channels, n_bott * k)
-        x = b.add("add", "bottleneck/add", n_bott * k, 0, (db, proj))
-    channels = n_bott * k
+    db = b.dense_block("bottleneck/db", x, cfg.db_layers_bottleneck)
+    if cfg.variant != "A":
+        proj = b.composite_layer("bottleneck/shortcut_proj", x, b.channels(db), kernel=1)
+        db = b.add("add", "bottleneck/add", (db, proj))
+    x = db
 
     for level, n_layers in enumerate(cfg.db_layers_up, start=1):
-        skip_id, skip_c = skips[-level]
-        x = b.transition_up(f"up{level}/tu", x, channels)
+        skip = skips[-level]
+        x = b.transition_up(f"up{level}/tu", x)
         if cfg.variant == "A":
-            x = b.add("concat", f"up{level}/skip_cat", channels + skip_c, 0, (x, skip_id))
-            db_in_c = channels + skip_c
-            x = b.dense_block(f"up{level}/db", x, db_in_c, n_layers)
-            channels = n_layers * k
+            x = b.add("concat", f"up{level}/skip_cat", (x, skip))
+            x = b.dense_block(f"up{level}/db", x, n_layers)
         else:
-            proj = b.projection(f"up{level}/skip_proj", skip_id, skip_c, channels)
-            x = b.add("add", f"up{level}/skip_add", channels, 0, (x, proj))
-            db = b.dense_block(f"up{level}/db", x, channels, n_layers)
-            shortcut = b.projection(f"up{level}/shortcut_proj", x, channels, n_layers * k)
-            x = b.add("add", f"up{level}/residual_add", n_layers * k, 0, (db, shortcut))
-            channels = n_layers * k
+            proj = b.composite_layer(f"up{level}/skip_proj", skip, b.channels(x), kernel=1)
+            x = b.add("add", f"up{level}/skip_add", (x, proj))
+            db = b.dense_block(f"up{level}/db", x, n_layers)
+            shortcut = b.composite_layer(
+                f"up{level}/shortcut_proj", x, b.channels(db), kernel=1
+            )
+            x = b.add("add", f"up{level}/residual_add", (db, shortcut))
 
-    x = b.conv("head/conv1x1", x, channels, cfg.classes, 1)
-    b.add("softmax", "head/softmax", cfg.classes, 0, (x,))
-
-    graph = NetGraph(nodes=b.nodes, edges=b.edges, config=cfg)
-    graph.shapes = shape_trace(graph, cfg.input_shape)
-    return graph
+    x = b.conv("head/conv1x1", x, cfg.classes, 1)
+    b.add("softmax", "head/softmax", (x,), cfg.classes)
+    return NetGraph(nodes=b.nodes, edges=b.edges, config=cfg, shapes=b.shapes)
 
 
 def _split_by_ratio(total: int, ratio) -> List[int]:
@@ -223,46 +223,18 @@ def _split_by_ratio(total: int, ratio) -> List[int]:
 
 
 def shape_trace(graph: NetGraph, input_shape) -> Dict[int, tuple]:
-    """Annotate every node with its (C, H, W); validates joins and pooling."""
+    """Every node's (C, H, W) for another input size; validates pooling.
+
+    Node ids do not depend on H x W, so these are the shapes of the
+    graph's config rebuilt at that size.
+    """
     c0, h, w = input_shape
     if c0 != graph.config.input_shape[0]:
         raise GraphBuildError(
             f"input has {c0} channels but the graph was built for"
             f" {graph.config.input_shape[0]}"
         )
-    shapes: Dict[int, tuple] = {}
-    for node in graph.nodes:
-        srcs = [shapes[s] for s in graph.inputs_of(node.id)]
-        if node.kind == "input":
-            shapes[node.id] = (c0, h, w)
-            continue
-        if node.kind == "pool":
-            c, hh, ww = srcs[0]
-            if hh % 2 or ww % 2:
-                raise GraphBuildError(
-                    f"node {node.name}: cannot halve odd spatial dims {hh}x{ww}"
-                )
-            shapes[node.id] = (c, hh // 2, ww // 2)
-        elif node.kind == "tconv":
-            c, hh, ww = srcs[0]
-            shapes[node.id] = (node.out_channels, hh * 2, ww * 2)
-        elif node.kind == "concat":
-            hw = {s[1:] for s in srcs}
-            if len(hw) != 1:
-                raise GraphBuildError(f"node {node.name}: concat inputs differ in H,W: {hw}")
-            shapes[node.id] = (sum(s[0] for s in srcs),) + srcs[0][1:]
-            if shapes[node.id][0] != node.out_channels:
-                raise GraphBuildError(
-                    f"node {node.name}: concat channels {shapes[node.id][0]}"
-                    f" != declared {node.out_channels}"
-                )
-        elif node.kind == "add":
-            if len(set(srcs)) != 1:
-                raise GraphBuildError(f"node {node.name}: add inputs differ: {srcs}")
-            shapes[node.id] = srcs[0]
-        else:  # conv, bn, elu, dropout, softmax: spatial-preserving
-            shapes[node.id] = (node.out_channels,) + srcs[0][1:]
-    return shapes
+    return build_graph(replace(graph.config, input_shape=(c0, h, w))).shapes
 
 
 def param_count(graph: NetGraph):

@@ -29,6 +29,14 @@ from .volume import LabelVolume, ScalarVolume, crop_patch, load_volume, save_vol
 
 ENV_PREFIX = "CARDIOMR_"
 
+
+def _FLOAT(s) -> float:  # fails closed on NaN and infinities, as _BOOL on non-words
+    value = float(s)
+    if not np.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 # key -> (converter, default); the single source of truth for config files,
 # environment overrides and CLI defaults
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -38,23 +46,23 @@ CONFIG_SCHEMA = {
     "roi.radius_min": (int, RoiConfig.radius_min),
     "roi.radius_max": (int, RoiConfig.radius_max),
     "roi.top_p": (int, RoiConfig.top_p),
-    "roi.vote_sigma": (float, RoiConfig.vote_sigma),
-    "roi.h1_noise_frac": (float, RoiConfig.h1_noise_frac),
-    "roi.canny_sigma": (float, RoiConfig.canny_sigma),
-    "roi.canny_low": (float, RoiConfig.canny_low),
-    "roi.canny_high": (float, RoiConfig.canny_high),
+    "roi.vote_sigma": (_FLOAT, RoiConfig.vote_sigma),
+    "roi.h1_noise_frac": (_FLOAT, RoiConfig.h1_noise_frac),
+    "roi.canny_sigma": (_FLOAT, RoiConfig.canny_sigma),
+    "roi.canny_low": (_FLOAT, RoiConfig.canny_low),
+    "roi.canny_high": (_FLOAT, RoiConfig.canny_high),
     "roi.patch_w": (int, RoiConfig.patch_size[0]),
     "roi.patch_h": (int, RoiConfig.patch_size[1]),
-    "loss.lambda": (float, LossConfig.lam),
-    "loss.gamma": (float, LossConfig.gamma),
-    "loss.eta": (float, LossConfig.eta),
-    "loss.epsilon": (float, LossConfig.epsilon),
+    "loss.lambda": (_FLOAT, LossConfig.lam),
+    "loss.gamma": (_FLOAT, LossConfig.gamma),
+    "loss.eta": (_FLOAT, LossConfig.eta),
+    "loss.epsilon": (_FLOAT, LossConfig.epsilon),
     "loss.dice_two_factor": (_BOOL, LossConfig.dice_two_factor),
     "loss.dilate_iters": (int, 1),
     "postproc.skip_3d": (_BOOL, False),
     "postproc.skip_2d": (_BOOL, False),
     "postproc.skip_fill": (_BOOL, False),
-    "features.density": (float, MYOCARDIUM_DENSITY_G_PER_ML),
+    "features.density": (_FLOAT, MYOCARDIUM_DENSITY_G_PER_ML),
     "seed": (int, 0),
 }
 

@@ -42,11 +42,11 @@ class RoiConfig:
             raise ValueError("top_p must be >= 1")
         if not (0 <= self.h1_noise_frac < 1):
             raise ValueError("h1_noise_frac must be in [0, 1)")
-        if self.canny_sigma <= 0:
+        if not self.canny_sigma > 0:
             raise ValueError("canny_sigma must be positive")
         if not (0 <= self.canny_low <= self.canny_high <= 1):
             raise ValueError("need 0 <= canny_low <= canny_high <= 1")
-        if self.vote_sigma <= 0:
+        if not self.vote_sigma > 0:
             raise ValueError("vote_sigma must be positive")
 
 

@@ -42,6 +42,13 @@ class TestApplyAugment:
         out, _ = apply_augment(img, None, AugmentParams(shift_mm=(5.0, 0.0)), spacing=(2.5, 2.5))
         assert np.array_equal(out[2:, :], img[:-2, :])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_spacing_must_be_positive_and_finite(self, image_and_labels, bad):
+        img, lbl = image_and_labels
+        for spacing in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="spacing must be positive and finite"):
+                apply_augment(img, lbl, sample_params(1), spacing=spacing)
+
     def test_zoom_doubles_disk_radius(self):
         img = disk_mask((80, 80), (39.5, 39.5), 10).astype(float)
         out, _ = apply_augment(img, None, AugmentParams(zoom=2.0))

@@ -73,6 +73,12 @@ class TestMass:
         vol = LabelVolume(data=np.zeros((4, 4, 1), dtype=np.uint8))
         assert myo_mass_g(vol) == 0.0
 
+    @pytest.mark.parametrize("density", [0.0, -1.05, np.nan, np.inf])
+    def test_density_must_be_positive_and_finite(self, density):
+        vol = LabelVolume(data=np.full((5, 5, 4), 2, dtype=np.uint8))
+        with pytest.raises(ValueError, match="density"):
+            myo_mass_g(vol, density=density)
+
     def test_density_override_units(self):
         data = np.full((5, 5, 4), 2, dtype=np.uint8)
         vol = LabelVolume(data=data, spacing=(1.0, 1.0, 1.0))

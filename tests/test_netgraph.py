@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cardiomr.cli import main
 from cardiomr.netgraph import (
     GraphBuildError,
     NetConfig,
@@ -169,3 +170,24 @@ class TestExports:
         json.dumps(s)
         assert s["total_params"] == g.total_params
         assert s["output_shape"] == [4, 128, 128]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("name, fields, argv", [
+        ("f", dict(variant="A", f=-5), ["--variant", "A", "--f", "-5"]),
+        ("f", dict(f=0), ["--f", "0"]),
+        ("input_shape", dict(input_shape=(1, -8, -8)), ["--input", "1x-8x-8"]),
+        ("input_shape", dict(input_shape=(0, 128, 128)), ["--input", "0x128x128"]),
+        ("db_layers_down", dict(db_layers_down=(0, 4, 4), db_layers_up=(4, 4, 0)),
+         ["--db-layers", "0", "4", "4"]),
+        ("db_layers_bottleneck", dict(db_layers_bottleneck=0), ["--db-bottleneck", "0"]),
+    ])
+    def test_non_positive_sizes_rejected_naming_the_field(self, name, fields, argv, capsys):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+            NetConfig(**fields)
+        assert main(["netinfo", *argv]) == 2
+        assert f"error: {name} must be >= 1" in capsys.readouterr().err
+
+    def test_up_path_depth_checked_too(self):
+        with pytest.raises(ValueError, match="^db_layers_up must be >= 1"):
+            NetConfig(db_layers_up=(4, 0, 4))

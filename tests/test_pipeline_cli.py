@@ -14,6 +14,7 @@ from cardiomr.features import FEATURE_NAMES, MYOCARDIUM_DENSITY_G_PER_ML
 from cardiomr.loss import LossConfig
 from cardiomr.phantoms import heart_label_volume, pulsating_disk_cine
 from cardiomr.pipeline import (
+    CONFIG_SCHEMA,
     ConfigError,
     PipelineConfig,
     PipelineError,
@@ -137,6 +138,24 @@ class TestConfig:
             PipelineConfig.load(path=f, env={})
         with pytest.raises(ConfigError, match="postproc.skip_fill"):
             PipelineConfig.load(env={"CARDIOMR_POSTPROC_SKIP_FILL": word})
+
+    @pytest.mark.parametrize("word", ["nan", " NaN ", "inf", "-Infinity", float("nan")])
+    def test_non_finite_float_rejected(self, word):
+        float_keys = [key for key, (_, default) in CONFIG_SCHEMA.items() if type(default) is float]
+        assert {"roi.vote_sigma", "loss.epsilon", "loss.lambda", "features.density"} <= set(float_keys)
+        for key in float_keys:
+            with pytest.raises(ConfigError, match=key):
+                PipelineConfig(values={key: word})
+        with pytest.raises(ConfigError, match="features.density"):
+            PipelineConfig.load(env={"CARDIOMR_FEATURES_DENSITY": str(word)})
+
+    @pytest.mark.parametrize("owner, field", [
+        (RoiConfig, "vote_sigma"), (RoiConfig, "canny_sigma"),
+        (LossConfig, "epsilon"), (LossConfig, "lam"), (LossConfig, "gamma"), (LossConfig, "eta"),
+    ])
+    def test_owner_configs_refuse_nan(self, owner, field):
+        with pytest.raises(ValueError):
+            owner(**{field: float("nan")})
 
     def test_bad_value_reports_key(self):
         with pytest.raises(ConfigError, match="roi.top_p"):
@@ -343,6 +362,17 @@ class TestCli:
         assert lines[0] == "case_id,class,dice,jaccard,tpr,spc,ppv,npv,hd_mm"
         assert any(line.startswith("mean,") for line in lines)
         assert any(line.startswith("std,") for line in lines)
+
+    @pytest.mark.parametrize("density", ["nan", "inf", "-1.05", "0"])
+    def test_features_refuses_bad_density(self, case, tmp_path, monkeypatch, capsys, density):
+        monkeypatch.setenv("CARDIOMR_FEATURES_DENSITY", density)
+        rc = main([
+            "features", "--ed", str(case / "ed.vol"), "--es", str(case / "es.vol"),
+            "--out", str(tmp_path / "features.csv"),
+        ])
+        assert rc == 2
+        assert "density" in capsys.readouterr().err
+        assert not (tmp_path / "features.csv").exists()
 
     def test_features_train_predict_cycle(self, case, tmp_path):
         feats = tmp_path / "features.csv"
