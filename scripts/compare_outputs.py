@@ -15,17 +15,21 @@ Hausdorff distance where it is not zero; and they give the wall-thickness
 kernel the noisy contours the pipeline, which measures only cleaned labels,
 never shows it. On the first case of each seed it also runs ``cardiomr roi
 --out-patch`` and ``cardiomr augment --labels --count 2 --flips`` on that
-patch. Once per tree it writes ``cardiomr netinfo`` text, ``--json`` and
-``--dot`` output for variants A, B and C at the defaults, and the text of a
-variant C with other depths, growth rate and input size. These commands run
-through ``cli.main``. The artifacts (``report.json``, ``roi_patch.vol``, the
+patch, and ``cardiomr roi --out-patch`` again on a copy of the cine with
+seeded i.i.d. Gaussian frame noise at 2% of its peak, which spreads the
+temporal harmonic over the whole slice while the edges stay near the heart
+(the noise is drawn in the child with a fixed generator). Once per tree it
+writes ``cardiomr netinfo`` text, ``--json`` and ``--dot`` output for
+variants A, B and C at the defaults, and the text of a variant C with other
+depths, growth rate and input size. These commands run through
+``cli.main``. The artifacts (``report.json``, ``roi_patch.vol``, the
 cleaned labels, the two eval CSVs and the features CSV of every case; the
-ROI center, patch and augmented pairs with their sidecars of the first
-case; the ten ``netinfo`` files) are then compared byte for byte. The
-inputs are not compared, so a change to how a model or a volume is stored
-passes as long as the pipeline reads back the same data. Exits 0 when all
-artifacts are identical, 1 otherwise, listing the files that differ or
-exist on one side only.
+ROI center, patch and augmented pairs with their sidecars, and the noisy
+cine's ROI center and patch, of the first case; the ten ``netinfo`` files)
+are then compared byte for byte. The inputs are not compared, so a change
+to how a model or a volume is stored passes as long as the pipeline reads
+back the same data. Exits 0 when all artifacts are identical, 1 otherwise,
+listing the files that differ or exist on one side only.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ SEEDS = (1, 2, 3, 4)
 N_CASES = 3
 N_MODEL_CASES = 10
 AUGMENT_SEED = 7
+NOISE_SEED = 11
+NOISE_FRAC = 0.02
 
 
 def run_cli(*argv) -> None:
@@ -71,6 +77,22 @@ def write_cli_outputs(case, out: Path) -> None:
                             spacing=seg.spacing), labels_path)
     run_cli("augment", "--input", patch, "--labels", labels_path, "--count", 2, "--flips",
             "--seed", AUGMENT_SEED, "--out-dir", out / "augment")
+
+
+def write_noisy_roi(case, out: Path) -> None:
+    """``roi --out-patch`` on a copy of the case's cine with seeded frame
+    noise of standard deviation NOISE_FRAC of the cine's peak."""
+    import numpy as np
+    from cardiomr.volume import ScalarVolume, load_volume, save_volume
+
+    cine = load_volume(case.cine, "scalar")
+    rng = np.random.default_rng(NOISE_SEED)
+    sigma = np.float32(NOISE_FRAC * float(np.abs(cine.data).max()))
+    noisy = case.cine.parent / "noisy_cine.vol"
+    save_volume(ScalarVolume(data=cine.data + sigma * rng.standard_normal(
+        cine.data.shape, dtype=np.float32), spacing=cine.spacing), noisy)
+    run_cli("roi", "--input", noisy, "--out-center", out / "noisy_roi.json",
+            "--out-patch", out / "noisy_roi_patch.vol")
 
 
 def write_raw_label_csvs(case, out: Path) -> None:
@@ -111,6 +133,7 @@ def write_outputs(tree: Path, out: Path) -> None:
             run_pipeline(case.cine, case.cine.parent / "out", **case.pipeline_kwargs(model))
             write_raw_label_csvs(case, case.cine.parent / "eval")
         write_cli_outputs(cases[0], cases[0].cine.parent / "cli")
+        write_noisy_roi(cases[0], cases[0].cine.parent / "cli")
     write_netinfo_outputs(out / "netinfo")
 
 

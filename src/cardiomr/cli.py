@@ -247,7 +247,10 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_netinfo(args) -> int:
-    c, h, w = (int(v) for v in args.input.split("x"))
+    try:
+        c, h, w = (int(v) for v in args.input.split("x"))
+    except ValueError:
+        raise ValueError(f"--input must be CxHxW, e.g. 1x128x128, got {args.input!r}") from None
     cfg = NetConfig(
         variant=args.variant, k=args.k, f=args.f, poolings=args.p,
         input_shape=(c, h, w), classes=args.classes,

@@ -49,6 +49,10 @@ class NetConfig:
         ):
             if min(values) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        shares = tuple(self.inception_ratio)
+        if not (len(shares) == 3 and all(0 <= s < np.inf for s in shares) and sum(shares) > 0):
+            raise ValueError("inception_ratio must be three finite shares >= 0 with a positive "
+                             f"sum, got {self.inception_ratio!r}")
 
     @property
     def initial_maps(self) -> int:

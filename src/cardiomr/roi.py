@@ -215,9 +215,9 @@ def _ring_spectra(shape: tuple, radius_min: int, radius_max: int) -> np.ndarray:
     """Real 2D spectra of the ring kernels for every radius, on a `shape` grid.
 
     Each kernel is centred at index 0 and wraps around (overlapping wraps
-    add up), so on a grid at least image + radius large the product with an
-    image spectrum crops (at ``[:nx, :ny]``) to the ``mode="same"``
-    convolution.
+    add up), so on a grid sized as ``hough_circles`` sizes it the product
+    with an edge-map spectrum crops (at ``[:nx, :ny]``) to the
+    ``mode="same"`` convolution.
     """
     spectra = []
     for radius in range(radius_min, radius_max + 1):
@@ -278,14 +278,19 @@ def hough_circles(edges: np.ndarray, cfg: RoiConfig) -> List[Circle]:
     """Classical circular Hough transform over the configured radius range.
 
     The edge map is transformed once; each radius plane is its product with
-    a cached ring-kernel spectrum, inverted and rounded to integral votes,
-    so the cost depends on the map size and radius range, not on how many
-    edge pixels there are. Within each plane, peaks are picked greedily by
-    score descending, ties by flat (C-order) index descending, dropping any
-    candidate closer than radius_min to an already kept peak of that plane;
-    concentric circles of different radii can therefore both be returned.
-    All planes' peaks are then ordered by (score desc, y, x, radius) and the
-    first top_p returned.
+    a cached ring-kernel spectrum, inverted and rounded to integral votes.
+    On an axis of size n with edges in [lo, hi] the FFT grid N is
+    ``next_fast_len(max(n - lo, hi + 1) + radius_max)``: an edge at j's ring
+    wraps onto an output i < n only if i - j or j - i reaches N - radius_max,
+    so any edge map gets exactly the ``mode="same"`` convolution.
+    Within each plane, peaks are picked greedily by score descending, ties
+    by flat (C-order) index descending, dropping any candidate closer than
+    radius_min to an already kept peak of that plane; concentric circles
+    of different radii can therefore both be returned. All planes' peaks
+    are then ordered by (score desc, y, x, radius) and the first top_p
+    returned. Planes are visited by maximum descending, and the search ends
+    at one whose maximum is not positive or is below the top_p-th kept
+    score, since no peak outscores its plane's maximum (a tie is visited).
     """
     edges = np.asarray(edges)
     if edges.ndim != 2:
@@ -293,19 +298,27 @@ def hough_circles(edges: np.ndarray, cfg: RoiConfig) -> List[Circle]:
     if not edges.any():
         return []
     nx, ny = edges.shape
-    shape = tuple(fft.next_fast_len(n + cfg.radius_max, real=True) for n in (nx, ny))
+    shape = tuple(
+        fft.next_fast_len(max(n - box.start, box.stop) + cfg.radius_max, real=True)
+        for n, box in zip(edges.shape, nonzero_window(edges, 0))
+    )
     spectrum = fft.rfft2(edges.astype(np.float64), s=shape)
     spectra = _ring_spectra(shape, cfg.radius_min, cfg.radius_max)
+    votes = np.empty((len(spectra), min(nx, shape[0]), min(ny, shape[1])), dtype=np.int32)
+    for plane, ring in zip(votes, spectra):
+        # votes are integral counts; FFT noise rounds away
+        plane[...] = np.round(fft.irfft2(spectrum * ring, s=shape)[:nx, :ny])
 
-    candidates: List[Circle] = []
-    for radius, ring in zip(range(cfg.radius_min, cfg.radius_max + 1), spectra):
-        acc = fft.irfft2(spectrum * ring, s=shape)[:nx, :ny]
-        votes = np.round(acc)  # votes are integral counts; FFT noise rounds away
-        for x, y, score in _select_peaks(votes, cfg.top_p, cfg.radius_min):
-            candidates.append(Circle(center=(x, y), radius=radius, score=score))
-
-    candidates.sort(key=lambda c: (-c.score, c.center[1], c.center[0], c.radius))
-    return candidates[: cfg.top_p]
+    peaks = votes.max(axis=(1, 2))
+    kept: List[Circle] = []
+    for i in np.argsort(-peaks, kind="stable"):
+        if peaks[i] <= 0 or (len(kept) == cfg.top_p and peaks[i] < kept[-1].score):
+            break
+        for x, y, score in _select_peaks(votes[i], cfg.top_p, cfg.radius_min):
+            kept.append(Circle(center=(x, y), radius=cfg.radius_min + int(i), score=score))
+        kept.sort(key=lambda c: (-c.score, c.center[1], c.center[0], c.radius))
+        del kept[cfg.top_p:]
+    return kept
 
 
 def _cast_vote(surface: np.ndarray, center, sigma: float, weight: float) -> None:
@@ -332,6 +345,9 @@ def locate_roi(v: ScalarVolume, cfg: RoiConfig | None = None) -> HoughResult:
     every slice casts a Gaussian vote (sigma = cfg.vote_sigma, weight =
     its accumulator score) into one likelihood surface whose argmax is
     the ROI center. Ties resolve to the lowest (y, then x) index.
+    Canny runs on the H1 support grown by ``canny_reach`` and Hough on one
+    window, all slices' edges grown by radius_max (so usually one FFT grid):
+    outside them every edge and vote is zero, as on the whole slices.
     """
     cfg = cfg or RoiConfig()
     h1 = temporal_h1(v)
@@ -344,24 +360,23 @@ def locate_roi(v: ScalarVolume, cfg: RoiConfig | None = None) -> HoughResult:
     )
     h1 = denoise_h1(h1, cfg.h1_noise_frac)
     nx, ny, nz = h1.magnitudes.shape
-    # Edges lie within Canny's reach of the H1 support and votes within
-    # radius_max of an edge, so outside this window every edge and vote is
-    # zero. Translation keeps the flat-index tie order, hence the circles.
-    wx, wy = nonzero_window(
-        h1.magnitudes, canny_reach(cfg.canny_sigma) + cfg.radius_max
-    )
+    # translation keeps the flat-index tie order, hence the circles
+    cx, cy = nonzero_window(h1.magnitudes, canny_reach(cfg.canny_sigma))
+    edges = np.zeros((nx, ny, nz), dtype=bool)
+    for z in range(nz):
+        edges[cx, cy, z] = canny_edges(
+            h1.magnitudes[cx, cy, z], cfg.canny_sigma, cfg.canny_low, cfg.canny_high
+        )
+    wx, wy = nonzero_window(edges, cfg.radius_max)
 
     surface = np.zeros((nx, ny), dtype=np.float64)
     per_slice: List[List[Circle]] = []
     total = 0
     for z in range(nz):
-        edges = canny_edges(
-            h1.magnitudes[wx, wy, z], cfg.canny_sigma, cfg.canny_low, cfg.canny_high
-        )
         circles = [
             Circle(center=(c.center[0] + wx.start, c.center[1] + wy.start),
                    radius=c.radius, score=c.score)
-            for c in hough_circles(edges, cfg)
+            for c in hough_circles(edges[wx, wy, z], cfg)
         ]
         per_slice.append(circles)
         total += len(circles)

@@ -191,3 +191,20 @@ class TestConfigValidation:
     def test_up_path_depth_checked_too(self):
         with pytest.raises(ValueError, match="^db_layers_up must be >= 1"):
             NetConfig(db_layers_up=(4, 0, 4))
+
+    @pytest.mark.parametrize("ratio", [(-1, 1, 1), (2, 1, 1, 1), (1, 1), (0, 0, 0),
+                                       (float("nan"), 1, 1), (2, float("inf"), 1)])
+    def test_inception_ratio_must_be_three_finite_shares(self, ratio):
+        with pytest.raises(ValueError, match="^inception_ratio must be three finite shares"):
+            NetConfig(inception_ratio=ratio)
+
+    def test_zero_inception_shares_drop_their_branch(self):
+        g = build_graph(NetConfig(inception_ratio=(1, 0, 1)))
+        stem = [n.name for n in g.nodes if n.name.startswith("stem/branch")]
+        assert stem == ["stem/branch3x3", "stem/branch7x7"]
+
+    @pytest.mark.parametrize("text", ["1x128", "1xax128", "0x", "1x128x128x1", ""])
+    def test_netinfo_input_must_be_cxhxw(self, text, capsys):
+        assert main(["netinfo", "--input", text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --input must be CxHxW") and repr(text) in err

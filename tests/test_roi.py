@@ -256,6 +256,62 @@ class TestHoughOracle:
         assert hough_circles(edges, cfg) == reference_hough_circles(edges, cfg)
 
 
+def border_edge_map(shape, borders, n_pixels, seed):
+    """Random edges, plus a run of edges along each named border."""
+    edges = random_edge_map(n_pixels, shape=shape, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for side in borders:
+        line = {"x0": (0, slice(None)), "x1": (-1, slice(None)),
+                "y0": (slice(None), 0), "y1": (slice(None), -1)}[side]
+        edges[line] |= rng.random(edges[line].shape) < 0.5
+    return edges
+
+
+def margin_edge_map(shape, margin, n_pixels, seed):
+    """Random edges at least `margin` pixels from every border."""
+    edges = np.zeros(shape, dtype=bool)
+    inner = (shape[0] - 2 * margin, shape[1] - 2 * margin)
+    edges[margin:-margin, margin:-margin] = random_edge_map(n_pixels, inner, seed)
+    return edges
+
+
+class TestHoughGrid:
+    """The FFT grid sized by the edge box gives the reference's circles
+    wherever the edges sit: a grid without the radius_max term wraps the
+    rings of edges near a border onto the other side."""
+
+    @pytest.mark.parametrize("borders", [("x0",), ("y1",), ("x1",), ("x0", "y0"),
+                                         ("x1", "y1"), ("x0", "x1"), ("x0", "x1", "y0", "y1")])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_edges_on_the_borders(self, borders, seed):
+        cfg = RoiConfig(radius_min=4, radius_max=18, top_p=5)
+        edges = border_edge_map((45, 52), borders, 30, seed)
+        assert hough_circles(edges, cfg) == reference_hough_circles(edges, cfg)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_edges_clear_of_every_border(self, seed):
+        cfg = RoiConfig(radius_min=4, radius_max=12, top_p=4)
+        edges = margin_edge_map((50, 44), 12, 25, seed)
+        assert hough_circles(edges, cfg) == reference_hough_circles(edges, cfg)
+
+    @pytest.mark.parametrize("shape", [(5, 7), (1, 30), (12, 3), (20, 20)])
+    def test_map_smaller_than_the_largest_ring(self, shape):
+        cfg = RoiConfig(radius_min=2, radius_max=40, top_p=3)
+        edges = random_edge_map(max(1, shape[0] * shape[1] // 4), shape=shape, seed=sum(shape))
+        edges[-1, -1] = True
+        assert hough_circles(edges, cfg) == reference_hough_circles(edges, cfg)
+
+    def test_plane_tied_with_the_cut_still_placed(self):
+        # one edge pixel in the corner: every plane's maximum is a 1, and
+        # each larger ring's first peak reaches a lower y, so each later
+        # plane ties the kept score and wins the (y, x, radius) order
+        cfg = RoiConfig(radius_min=3, radius_max=6, top_p=1)
+        edges = np.zeros((30, 30), dtype=bool)
+        edges[-1, -1] = True
+        want = [Circle(center=(29, 23), radius=6, score=1.0)]
+        assert hough_circles(edges, cfg) == want == reference_hough_circles(edges, cfg)
+
+
 class TestTemporalH1Oracle:
     @pytest.mark.parametrize("via_file", [True, False])
     def test_bitwise_equal_to_whole_volume_product(self, via_file, tmp_path):

@@ -428,6 +428,22 @@ class TestLocateRoiOracle:
         assert any(result.circles_per_slice)
         assert_same_roi(cine, RoiConfig())
 
+    @pytest.mark.parametrize("noise", [0.005, 0.02, 0.05])
+    def test_noisy_cine(self, noise):
+        # frame noise spreads the H1 support over the whole slice, while
+        # the edges, and so the Hough window, stay near the heart
+        cine = stacked_cine((96, 104), [(44, 50), (48, 52), (46, 47)], seed=int(1000 * noise))
+        rng = np.random.default_rng(int(1000 * noise))
+        peak = float(np.abs(cine.data).max())
+        noisy = ScalarVolume(data=cine.data + rng.normal(0.0, noise * peak, cine.data.shape))
+        assert_same_roi(noisy, RoiConfig())
+
+    def test_heart_on_the_image_corner(self):
+        cine = stacked_cine((80, 70), [(2, 3), (1, 1), (3, 2)])
+        result = locate_roi(cine, RoiConfig())
+        assert any(result.circles_per_slice)
+        assert_same_roi(cine, RoiConfig())
+
     @pytest.mark.parametrize("sigma", SIGMAS)
     @pytest.mark.parametrize("radius_max", [20, 60])
     def test_canny_sigma_and_radius_range(self, sigma, radius_max):
