@@ -25,11 +25,15 @@ depths, growth rate and input size. These commands run through
 ``cli.main``. The artifacts (``report.json``, ``roi_patch.vol``, the
 cleaned labels, the two eval CSVs and the features CSV of every case; the
 ROI center, patch and augmented pairs with their sidecars, and the noisy
-cine's ROI center and patch, of the first case; the ten ``netinfo`` files)
-are then compared byte for byte. The inputs are not compared, so a change
-to how a model or a volume is stored passes as long as the pipeline reads
-back the same data. Exits 0 when all artifacts are identical, 1 otherwise,
-listing the files that differ or exist on one side only.
+cine's ROI center and patch, of the first case; the ten ``netinfo`` files;
+and each seed's ``inputs.sha256``) are then compared byte for byte. The
+input files themselves are not compared, so a change to how a model or a
+volume is stored passes as long as the pipeline reads back the same data.
+``inputs.sha256`` holds a digest of every case's cine, segmentations and
+ground truths as that tree's own ``load_volume`` decodes them (dtype, shape,
+spacing and data), so drift in the phantoms the inputs are drawn from fails
+even where no output moves. Exits 0 when all artifacts are identical, 1
+otherwise, listing the files that differ or exist on one side only.
 """
 
 from __future__ import annotations
@@ -117,6 +121,25 @@ def write_netinfo_outputs(out: Path) -> None:
             "--input", "1x64x64", "--out", out / "C_k4_64.txt")
 
 
+def write_input_digests(cases, root: Path) -> None:
+    """``inputs.sha256`` under ``root``: one SHA-256 per input volume of each
+    case over its decoded dtype, shape, spacing and data."""
+    import hashlib
+
+    import numpy as np
+    from cardiomr.volume import load_volume
+
+    lines = []
+    for case in cases:
+        for name in ("cine", "seg_ed", "seg_es", "gt_ed", "gt_es"):
+            path = getattr(case, name)
+            vol = load_volume(path, "scalar" if name == "cine" else "label")
+            digest = hashlib.sha256(repr((vol.data.dtype.str, vol.data.shape, vol.spacing)).encode())
+            digest.update(np.ascontiguousarray(vol.data).tobytes())
+            lines.append(f"{digest.hexdigest()}  {path.relative_to(root).as_posix()}\n")
+    (root / "inputs.sha256").write_text("".join(lines))
+
+
 def write_outputs(tree: Path, out: Path) -> None:
     """Child side: inputs and pipeline artifacts of every case of every seed."""
     sys.path.insert(0, str(tree / "bench"))
@@ -129,6 +152,7 @@ def write_outputs(tree: Path, out: Path) -> None:
             raise SystemExit(f"imported {module.__file__}, not from {root}")
     for seed in SEEDS:
         cases, model = inputs.write_acdc_inputs(seed, out / f"seed{seed}", N_CASES, N_MODEL_CASES)
+        write_input_digests(cases, out / f"seed{seed}")
         for case in cases:
             run_pipeline(case.cine, case.cine.parent / "out", **case.pipeline_kwargs(model))
             write_raw_label_csvs(case, case.cine.parent / "eval")
@@ -138,8 +162,9 @@ def write_outputs(tree: Path, out: Path) -> None:
 
 
 def artifacts_under(root: Path) -> set:
-    found = [p for pattern in ("seed*/*/out/*", "seed*/*/eval/*", "seed*/*/cli/**/*", "netinfo/*")
-             for p in root.glob(pattern)]
+    patterns = ("seed*/inputs.sha256", "seed*/*/out/*", "seed*/*/eval/*", "seed*/*/cli/**/*",
+                "netinfo/*")
+    found = [p for pattern in patterns for p in root.glob(pattern)]
     return {p.relative_to(root) for p in found if p.is_file()}
 
 

@@ -204,14 +204,30 @@ def _read_csv(path, *columns):
         return list(reader)
 
 
+def _feature_value(path, case_id, name, cell) -> float:
+    """A features CSV cell: empty is missing (NaN), anything else must be a
+    finite number."""
+    if cell == "":
+        return np.nan
+    try:
+        value = float(cell)
+    except (TypeError, ValueError):
+        value = np.nan
+    if not np.isfinite(value):
+        raise ValueError(f"{path}: case {case_id!r}, column {name}: {cell!r} is not a finite number")
+    return value
+
+
 def _read_features_csv(path):
+    """Case ids and feature records; ValueError names the file, and the case
+    and column, of a missing column, a bad cell or a repeated case id."""
     ids, records = [], []
-    for row in _read_csv(path, "case_id"):
-        ids.append(row["case_id"])
-        vec = [
-            float(row[name]) if row.get(name, "") != "" else np.nan
-            for name in FEATURE_NAMES
-        ]
+    for row in _read_csv(path, "case_id", *FEATURE_NAMES):
+        case_id = row["case_id"]
+        if case_id in ids:
+            raise ValueError(f"{path}: case {case_id!r} appears more than once")
+        ids.append(case_id)
+        vec = [_feature_value(path, case_id, name, row[name]) for name in FEATURE_NAMES]
         records.append(FeatureRecord.from_vector(np.array(vec)))
     return ids, records
 

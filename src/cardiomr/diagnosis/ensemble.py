@@ -192,10 +192,11 @@ def train_ensemble(
     With ``mode="selected"`` only classifiers whose CV accuracy clears the
     selection threshold vote at prediction time.
     """
+    # built before any fit, so a bad size fails at once
+    stage1: Dict[str, object] = {name: make(seed, n_trees) for name, make in _STAGE1.items()}
     prep = Preprocessor().fit(ds.X)
     Xt = prep.transform(ds.X)
 
-    stage1: Dict[str, object] = {}
     cv_acc: Dict[str, float] = {}
     min_per_class = min(np.bincount(np.searchsorted(np.unique(ds.y), ds.y)))
     k = min(cv_folds, int(min_per_class))
@@ -206,7 +207,6 @@ def train_ensemble(
             cv_acc[name] = cross_validate(ds, factory, k=k, seed=seed).mean
         else:
             cv_acc[name] = float("nan")
-        stage1[name] = make(seed, n_trees)
         stage1[name].fit(Xt, ds.y)
 
     selected: tuple = ()

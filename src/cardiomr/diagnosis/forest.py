@@ -109,6 +109,8 @@ class _Tree:
 
 class RandomForest:
     def __init__(self, n_trees: int = 1000, seed: int = 0):
+        if n_trees < 1:
+            raise ValueError(f"n_trees must be at least 1, got {n_trees}")
         self.n_trees = n_trees
         self.seed = seed
 

@@ -11,16 +11,24 @@ import numpy as np
 from .volume import ACDC_SCHEMA, LabelVolume, ScalarVolume
 
 
+def _offsets(shape, center):
+    """x offsets as an (nx, 1) column and y offsets as a (1, ny) row from ``center``."""
+    return np.arange(shape[0])[:, None] - center[0], np.arange(shape[1])[None, :] - center[1]
+
+
+def _distance(shape, center) -> np.ndarray:
+    """Distance (px) of every pixel of an (nx, ny) grid from ``center``."""
+    return np.hypot(*_offsets(shape, center))
+
+
 def disk_mask(shape, center, radius) -> np.ndarray:
     """Boolean disk of given radius (px) on an (nx, ny) grid."""
-    xs, ys = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]), indexing="ij")
-    return np.hypot(xs - center[0], ys - center[1]) <= radius
+    return _distance(shape, center) <= radius
 
 
 def annulus_mask(shape, center, r_inner, r_outer) -> np.ndarray:
     """Boolean annulus r_inner < d <= r_outer."""
-    xs, ys = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]), indexing="ij")
-    d = np.hypot(xs - center[0], ys - center[1])
+    d = _distance(shape, center)
     return (d > r_inner) & (d <= r_outer)
 
 
@@ -40,40 +48,28 @@ def pulsating_disk_cine(
     nx, ny = shape
     rng = np.random.default_rng(seed)
     background = background_texture * rng.random((nx, ny))
+    d = _distance(shape, center)
     r_mid = 0.5 * (radius_range[0] + radius_range[1])
     r_amp = 0.5 * (radius_range[1] - radius_range[0])
     frames = np.empty((nx, ny, 1, n_frames), dtype=np.float32)
     for t in range(n_frames):
         r = r_mid + r_amp * np.cos(2 * np.pi * t / n_frames)
-        frame = background.copy()
-        frame[disk_mask(shape, center, r)] = 1.0
-        frames[:, :, 0, t] = frame
+        frames[:, :, 0, t] = np.where(d <= r, 1.0, background)
     return ScalarVolume(data=frames, spacing=(1.0, 1.0, 1.0, 1.0))
 
 
-def heart_slice(
-    shape,
-    lv_center,
-    lv_radius,
-    wall_px,
-    rv_center=None,
-    rv_radius=0.0,
-    wall_of_angle=None,
-) -> np.ndarray:
-    """One short-axis label slice: LV cavity, MYO ring and optional RV disk."""
+def heart_slice(shape, lv_center, lv_radius, wall_px, rv_center=None, rv_radius=0.0) -> np.ndarray:
+    """One short-axis label slice: LV cavity, MYO ring and optional RV disk.
+
+    ``wall_px`` is one wall width or an (nx, ny) array of widths, read at
+    each pixel.
+    """
     lbl = np.zeros(shape, dtype=np.uint8)
     if rv_center is not None and rv_radius > 0:
         lbl[disk_mask(shape, rv_center, rv_radius)] = ACDC_SCHEMA.id_of("RV")
-    if wall_of_angle is None:
-        myo = annulus_mask(shape, lv_center, lv_radius, lv_radius + wall_px)
-    else:
-        xs, ys = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]), indexing="ij")
-        dx, dy = xs - lv_center[0], ys - lv_center[1]
-        d = np.hypot(dx, dy)
-        ang = np.arctan2(dy, dx)
-        myo = (d > lv_radius) & (d <= lv_radius + wall_of_angle(ang))
-    lbl[myo] = ACDC_SCHEMA.id_of("MYO")
-    lbl[disk_mask(shape, lv_center, lv_radius)] = ACDC_SCHEMA.id_of("LV")
+    d = _distance(shape, lv_center)
+    lbl[(d > lv_radius) & (d <= lv_radius + wall_px)] = ACDC_SCHEMA.id_of("MYO")
+    lbl[d <= lv_radius] = ACDC_SCHEMA.id_of("LV")
     return lbl
 
 
@@ -86,14 +82,10 @@ def heart_label_volume(
     rv_offset=(-26, 0),
     rv_radius=9.0,
     spacing=(1.5, 1.5, 8.0),
-    wall_of_angle=None,
 ) -> LabelVolume:
     """Stack of identical heart slices as a 3D label volume."""
     rv_center = (lv_center[0] + rv_offset[0], lv_center[1] + rv_offset[1])
-    sl = heart_slice(
-        shape, lv_center, lv_radius, wall_px,
-        rv_center=rv_center, rv_radius=rv_radius, wall_of_angle=wall_of_angle,
-    )
+    sl = heart_slice(shape, lv_center, lv_radius, wall_px, rv_center=rv_center, rv_radius=rv_radius)
     data = np.repeat(sl[:, :, np.newaxis], n_slices, axis=2)
     return LabelVolume(data=data, spacing=spacing)
 
@@ -140,19 +132,14 @@ def disease_cohort_case(seed: int, kind: str, shape=(96, 96)):
     thin_w = float(rng.uniform(1.6, 2.2))
     taper = rng.uniform(0.9, 1.0, size=n_slices)   # mild apex-to-base variation
 
-    def wall_fn(r, es: bool):
+    if kind == "MINF":
+        dx, dy = _offsets(shape, center)
+        thin = np.abs(np.angle(np.exp(1j * (np.arctan2(dy, dx) - phi)))) < theta / 2
+
+    def wall(r):
         if kind == "DCM":
-            w = _uniform_wall_for_area(r, area)
-            return lambda ang, w=w: np.full_like(np.asarray(ang, dtype=float), r + w) - r
-        frac = theta / (2 * np.pi)
-        w_base = _base_wall_for_area(r, area, frac, thin_w)
-
-        def of_angle(ang, w_base=w_base, r=r):
-            ang = np.asarray(ang, dtype=float)
-            delta = np.angle(np.exp(1j * (ang - phi)))
-            return np.where(np.abs(delta) < theta / 2, thin_w, w_base)
-
-        return of_angle
+            return _uniform_wall_for_area(r, area)
+        return np.where(thin, thin_w, _base_wall_for_area(r, area, theta / (2 * np.pi), thin_w))
 
     def build(phase: str) -> LabelVolume:
         es = phase == "es"
@@ -160,11 +147,7 @@ def disease_cohort_case(seed: int, kind: str, shape=(96, 96)):
         for z in range(n_slices):
             r = (r_ed * shrink if es else r_ed) * taper[z]
             rv_r = (rv_r_ed * shrink if es else rv_r_ed) * taper[z]
-            data[:, :, z] = heart_slice(
-                shape, center, r, 0.0,
-                rv_center=rv_center, rv_radius=rv_r,
-                wall_of_angle=wall_fn(r, es),
-            )
+            data[:, :, z] = heart_slice(shape, center, r, wall(r), rv_center=rv_center, rv_radius=rv_r)
         return LabelVolume(data=data, spacing=(sxy, sxy, sz))
 
     return build("ed"), build("es")

@@ -95,6 +95,20 @@ class TestRandomForest:
         b = RandomForest(n_trees=10, seed=7).fit(X, y).predict(X)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n_trees", [0, -3])
+    def test_needs_a_tree(self, n_trees):
+        with pytest.raises(ValueError, match="n_trees"):
+            RandomForest(n_trees=n_trees)
+
+    def test_ensemble_refuses_no_trees_before_fitting(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the forest size was checked")
+
+        monkeypatch.setattr(Preprocessor, "fit", no_fit)
+        ds = _cohort_dataset(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="n_trees"):
+            train_ensemble(ds, n_trees=0)
+
 
 class TestMLP:
     def test_xor(self):

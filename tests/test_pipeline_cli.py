@@ -544,6 +544,65 @@ class TestCsvColumns:
         assert "missing column(s): case_id" in capsys.readouterr().err
         assert not (tmp_path / "m.pkl").exists()
 
+    def run_with_features(self, command, model, tmp_path, header, rows):
+        """``command`` (predict or train-clf) on a features CSV of ``rows``."""
+        features = self.write_csv(tmp_path / "features.csv", header, rows)
+        if command == "predict":
+            return main(["predict", "--model", str(model), "--features", features])
+        labels = self.write_csv(tmp_path / "labels.csv", ["case_id", "label"],
+                                [[r[0], ("NOR", "DCM")[i % 2]] for i, r in enumerate(rows)])
+        return main(["train-clf", "--features", features, "--labels", labels,
+                     "--model", str(tmp_path / "m.pkl"), "--trees", "3"])
+
+    @pytest.mark.parametrize("command", ["predict", "train-clf"])
+    def test_missing_feature_column(self, command, model, tmp_path, capsys):
+        header = ["case_id"] + [n.replace("fraction", "fracton") for n in FEATURE_NAMES]
+        rows = [[f"c{i}"] + ["1.5"] * len(FEATURE_NAMES) for i in range(4)]
+        assert self.run_with_features(command, model, tmp_path, header, rows) == 2
+        err = capsys.readouterr().err
+        assert "features.csv" in err and "missing column(s): lv_ejection_fraction, rv_ejection_fraction" in err
+        assert not (tmp_path / "m.pkl").exists()
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1.5x", "1e999"])
+    @pytest.mark.parametrize("command", ["predict", "train-clf"])
+    def test_non_finite_cell(self, command, cell, model, tmp_path, capsys):
+        rows = [[f"c{i}"] + ["1.5"] * len(FEATURE_NAMES) for i in range(4)]
+        rows[2][5] = cell
+        rc = self.run_with_features(command, model, tmp_path, ["case_id"] + list(FEATURE_NAMES),
+                                    rows)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "features.csv" in err and "'c2'" in err and FEATURE_NAMES[4] in err
+        assert "not a finite number" in err
+
+    @pytest.mark.parametrize("command", ["predict", "train-clf"])
+    def test_repeated_case_id(self, command, model, tmp_path, capsys):
+        rows = [[f"c{i % 3}"] + ["1.5"] * len(FEATURE_NAMES) for i in range(4)]
+        rc = self.run_with_features(command, model, tmp_path, ["case_id"] + list(FEATURE_NAMES),
+                                    rows)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "features.csv" in err and "'c0' appears more than once" in err
+
+    def test_empty_cell_is_missing(self, model, tmp_path, capsys):
+        rows = [["c0"] + [""] + ["1.5"] * (len(FEATURE_NAMES) - 1)]
+        out = tmp_path / "pred.json"
+        features = self.write_csv(tmp_path / "features.csv", ["case_id"] + list(FEATURE_NAMES), rows)
+        assert main(["predict", "--model", str(model), "--features", features,
+                     "--out", str(out)]) == 0
+        assert set(json.loads(out.read_text())) == {"c0"}
+
+    def test_train_clf_without_trees(self, tmp_path, capsys):
+        features = self.write_csv(tmp_path / "features.csv", ["case_id"] + list(FEATURE_NAMES),
+                                  [[f"c{i}"] + [f"{i}"] * len(FEATURE_NAMES) for i in range(4)])
+        labels = self.write_csv(tmp_path / "labels.csv", ["case_id", "label"],
+                                [[f"c{i}", ("NOR", "DCM")[i % 2]] for i in range(4)])
+        rc = main(["train-clf", "--features", features, "--labels", labels,
+                   "--model", str(tmp_path / "m.pkl"), "--trees", "0"])
+        assert rc == 2
+        assert "n_trees must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "m.pkl").exists()
+
     def test_train_clf_labels_without_label_column(self, tmp_path, capsys):
         features = self.write_csv(tmp_path / "features.csv", ["case_id"] + list(FEATURE_NAMES),
                                   [["c0"] + ["1.5"] * len(FEATURE_NAMES)])
