@@ -21,14 +21,20 @@ temporal harmonic over the whole slice while the edges stay near the heart
 (the noise is drawn in the child with a fixed generator). Once per tree it
 writes ``cardiomr netinfo`` text, ``--json`` and ``--dot`` output for
 variants A, B and C at the defaults, and the text of a variant C with other
-depths, growth rate and input size. These commands run through
-``cli.main``. The artifacts (``report.json``, ``roi_patch.vol``, the
-cleaned labels, the two eval CSVs and the features CSV of every case; the
-ROI center, patch and augmented pairs with their sidecars, and the noisy
-cine's ROI center and patch, of the first case; the ten ``netinfo`` files;
-and each seed's ``inputs.sha256``) are then compared byte for byte. The
-input files themselves are not compared, so a change to how a model or a
-volume is stored passes as long as the pipeline reads back the same data.
+depths, growth rate and input size. Per seed it writes the features of a
+96x96 ``disease_cohort`` as CSVs (full precision), runs ``cardiomr
+train-clf`` on the first 60 cases and ``cardiomr predict`` on the 40 after
+them, so the classifier's labels and audits, with every voter's vote, are
+compared directly rather than through the pipeline's one prediction per
+case. These commands run through ``cli.main``. The artifacts
+(``report.json``, ``roi_patch.vol``, the cleaned labels, the two eval CSVs
+and the features CSV of every case; the ROI center, patch and augmented
+pairs with their sidecars, and the noisy cine's ROI center and patch, of
+the first case; each seed's classifier CSVs and ``predict.json``; the ten
+``netinfo`` files; and each seed's ``inputs.sha256``) are then compared
+byte for byte. The input files themselves, the models included, are not
+compared, so a change to how a model or a volume is stored passes as long
+as the same data is read back.
 ``inputs.sha256`` holds a digest of every case's cine, segmentations and
 ground truths as that tree's own ``load_volume`` decodes them (dtype, shape,
 spacing and data), so drift in the phantoms the inputs are drawn from fails
@@ -54,6 +60,8 @@ N_MODEL_CASES = 10
 AUGMENT_SEED = 7
 NOISE_SEED = 11
 NOISE_FRAC = 0.02
+N_CLF_TRAIN = 60
+N_CLF_TEST = 40
 
 
 def run_cli(*argv) -> None:
@@ -121,6 +129,30 @@ def write_netinfo_outputs(out: Path) -> None:
             "--input", "1x64x64", "--out", out / "C_k4_64.txt")
 
 
+def write_classifier_outputs(seed: int, out: Path) -> None:
+    """Feature CSVs of a 96x96 ``disease_cohort``, then ``train-clf`` on its
+    first N_CLF_TRAIN cases and ``predict`` on the N_CLF_TEST after them."""
+    import numpy as np
+    from cardiomr.features import FEATURE_NAMES, PhaseLabels, extract_features
+    from cardiomr.phantoms import disease_cohort
+
+    out.mkdir()
+    cohort = disease_cohort(N_CLF_TRAIN + N_CLF_TEST, seed=seed)
+    rows = []
+    for i, (ed, es, _) in enumerate(cohort):
+        values = extract_features(PhaseLabels(ed=ed, es=es)).to_vector()
+        rows.append(",".join([f"case{i}"] + ["" if np.isnan(v) else repr(float(v)) for v in values]))
+    header = ",".join(("case_id",) + FEATURE_NAMES)
+    for name, part in (("train", rows[:N_CLF_TRAIN]), ("test", rows[N_CLF_TRAIN:])):
+        (out / f"{name}.csv").write_text("\n".join([header] + part) + "\n")
+    labels = [f"case{i},{kind}" for i, (*_, kind) in enumerate(cohort[:N_CLF_TRAIN])]
+    (out / "labels.csv").write_text("\n".join(["case_id,label"] + labels) + "\n")
+    run_cli("train-clf", "--features", out / "train.csv", "--labels", out / "labels.csv",
+            "--model", out / "model.pkl", "--seed", seed)
+    run_cli("predict", "--model", out / "model.pkl", "--features", out / "test.csv",
+            "--out", out / "predict.json")
+
+
 def write_input_digests(cases, root: Path) -> None:
     """``inputs.sha256`` under ``root``: one SHA-256 per input volume of each
     case over its decoded dtype, shape, spacing and data."""
@@ -158,12 +190,13 @@ def write_outputs(tree: Path, out: Path) -> None:
             write_raw_label_csvs(case, case.cine.parent / "eval")
         write_cli_outputs(cases[0], cases[0].cine.parent / "cli")
         write_noisy_roi(cases[0], cases[0].cine.parent / "cli")
+        write_classifier_outputs(seed, out / f"seed{seed}" / "classify")
     write_netinfo_outputs(out / "netinfo")
 
 
 def artifacts_under(root: Path) -> set:
     patterns = ("seed*/inputs.sha256", "seed*/*/out/*", "seed*/*/eval/*", "seed*/*/cli/**/*",
-                "netinfo/*")
+                "seed*/classify/*.csv", "seed*/classify/*.json", "netinfo/*")
     found = [p for pattern in patterns for p in root.glob(pattern)]
     return {p.relative_to(root) for p in found if p.is_file()}
 

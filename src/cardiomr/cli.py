@@ -241,6 +241,8 @@ def _cmd_train_clf(args) -> int:
     if missing:
         print(f"error: no label for case(s): {missing}", file=sys.stderr)
         return 2
+    if not records:
+        raise ValueError(f"{args.features}: no feature records to train on")
     ds = Dataset.from_records(records, [label_of[i] for i in ids])
     model = train_ensemble(
         ds, seed=args.seed, mode=args.mode, n_trees=args.trees

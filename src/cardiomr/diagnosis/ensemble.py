@@ -9,6 +9,7 @@ statistics never leak into training.
 from __future__ import annotations
 
 import pickle
+from contextlib import contextmanager
 from functools import partial
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -23,7 +24,7 @@ from .svm import RbfSvm
 
 DISEASE_LABELS = ("NOR", "MINF", "DCM", "HCM", "ARV")
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 
 
 class StratificationError(ValueError):
@@ -53,6 +54,8 @@ class Dataset:
 
     @classmethod
     def from_records(cls, records: Sequence[FeatureRecord], labels) -> "Dataset":
+        if not records:
+            raise ValueError("need at least one feature record")
         X = np.stack([r.to_vector() for r in records])
         return cls(X=X, y=np.asarray(labels))
 
@@ -169,6 +172,16 @@ class EnsembleModel:
         return list(self.stage1)
 
 
+@contextmanager
+def _named(what: str):
+    """Prefix ``what`` to a ValueError or RuntimeError raised inside."""
+    try:
+        yield
+    except (ValueError, RuntimeError) as exc:
+        exc.args = (f"{what}: {exc}",) + exc.args[1:]
+        raise
+
+
 # The stage-1 classifiers in voting order: name -> factory(seed, n_trees).
 _STAGE1 = {
     "SVM": lambda seed, n_trees: RbfSvm(seed=seed),
@@ -194,20 +207,24 @@ def train_ensemble(
     """
     # built before any fit, so a bad size fails at once
     stage1: Dict[str, object] = {name: make(seed, n_trees) for name, make in _STAGE1.items()}
+    classes = np.unique(ds.y)
+    if len(classes) < 2:
+        raise ValueError(f"need at least 2 classes to train, found only {', '.join(classes)}")
     prep = Preprocessor().fit(ds.X)
     Xt = prep.transform(ds.X)
 
     cv_acc: Dict[str, float] = {}
-    min_per_class = min(np.bincount(np.searchsorted(np.unique(ds.y), ds.y)))
+    min_per_class = min(np.bincount(np.searchsorted(classes, ds.y)))
     k = min(cv_folds, int(min_per_class))
     for name, make in _STAGE1.items():
-        if k >= 2:
-            # cross-validation caps the forest at 200 trees
-            factory = partial(make, seed, min(n_trees, 200))
-            cv_acc[name] = cross_validate(ds, factory, k=k, seed=seed).mean
-        else:
-            cv_acc[name] = float("nan")
-        stage1[name].fit(Xt, ds.y)
+        with _named(f"stage-1 {name}"):
+            if k >= 2:
+                # cross-validation caps the forest at 200 trees
+                factory = partial(make, seed, min(n_trees, 200))
+                cv_acc[name] = cross_validate(ds, factory, k=k, seed=seed).mean
+            else:
+                cv_acc[name] = float("nan")
+            stage1[name].fit(Xt, ds.y)
 
     selected: tuple = ()
     if mode == "selected":
@@ -220,7 +237,8 @@ def train_ensemble(
         expert_ds = ds.subset(np.flatnonzero(expert_mask)).columns(ES_MWT_FEATURES)
         expert_prep = Preprocessor().fit(expert_ds.X)
         expert = _STAGE1["MLP"](seed, n_trees)
-        expert.fit(expert_prep.transform(expert_ds.X), expert_ds.y)
+        with _named("expert MLP"):
+            expert.fit(expert_prep.transform(expert_ds.X), expert_ds.y)
 
     return EnsembleModel(
         stage1=stage1,
@@ -297,13 +315,18 @@ def save_model(model: EnsembleModel, path) -> None:
 
 
 def load_model(path) -> EnsembleModel:
+    """ValueError names the file unless it holds a model this version wrote."""
     with open(path, "rb") as fh:
-        payload = pickle.load(fh)
+        try:
+            payload = pickle.load(fh)
+        except Exception as exc:
+            why = f"{type(exc).__name__}: {exc}"
+            raise ValueError(f"{path}: not a cardiomr model file this version can read ({why})") from None
     if not isinstance(payload, dict) or payload.get("kind") != "cardiomr-ensemble":
         raise ValueError(f"{path} is not an ensemble model file")
     if payload.get("schema") != MODEL_SCHEMA_VERSION:
         raise ValueError(
-            f"model schema {payload.get('schema')} unsupported"
-            f" (expected {MODEL_SCHEMA_VERSION})"
+            f"{path}: model schema {payload.get('schema')} unsupported"
+            f" (expected {MODEL_SCHEMA_VERSION}); retrain with train-clf"
         )
     return payload["model"]

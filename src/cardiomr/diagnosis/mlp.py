@@ -71,11 +71,11 @@ class MLPClassifier:
         sizes = (d,) + self.hidden + (k,)
         self._init_weights(sizes, rng)
 
-        # Adam state
-        mW = [np.zeros_like(W) for W in self.W_]
-        vW = [np.zeros_like(W) for W in self.W_]
-        mb = [np.zeros_like(b) for b in self.b_]
-        vb = [np.zeros_like(b) for b in self.b_]
+        # Adam state, one moment pair per array of W_ + b_
+        params = self.W_ + self.b_
+        layers = len(self.W_)
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
         beta1, beta2, eps = 0.9, 0.999, 1e-8
 
         best_loss = np.inf
@@ -101,22 +101,19 @@ class MLPClassifier:
                 break
 
             delta = (probs - onehot) / n
-            t = epoch + 1
-            for i in reversed(range(len(self.W_))):
-                gW = acts[i].T @ delta
-                gb = delta.sum(axis=0)
+            grads = [None] * len(params)  # all from the weights before this step
+            for i in reversed(range(layers)):
+                grads[i] = acts[i].T @ delta
+                grads[layers + i] = delta.sum(axis=0)
                 if i > 0:
                     delta = (delta @ self.W_[i].T) * (acts[i] > 0)
-                mW[i] = beta1 * mW[i] + (1 - beta1) * gW
-                vW[i] = beta2 * vW[i] + (1 - beta2) * gW**2
-                mb[i] = beta1 * mb[i] + (1 - beta1) * gb
-                vb[i] = beta2 * vb[i] + (1 - beta2) * gb**2
-                mhW = mW[i] / (1 - beta1**t)
-                vhW = vW[i] / (1 - beta2**t)
-                mhb = mb[i] / (1 - beta1**t)
-                vhb = vb[i] / (1 - beta2**t)
-                self.W_[i] -= self.learning_rate * mhW / (np.sqrt(vhW) + eps)
-                self.b_[i] -= self.learning_rate * mhb / (np.sqrt(vhb) + eps)
+            t = epoch + 1
+            for j, g in enumerate(grads):
+                m[j] = beta1 * m[j] + (1 - beta1) * g
+                v[j] = beta2 * v[j] + (1 - beta2) * g**2
+                mh = m[j] / (1 - beta1**t)
+                vh = v[j] / (1 - beta2**t)
+                params[j] -= self.learning_rate * mh / (np.sqrt(vh) + eps)
 
         if best_weights is not None:
             self.W_, self.b_ = best_weights

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,9 @@ from cardiomr.diagnosis import (
     select_classifiers,
     train_ensemble,
 )
-from cardiomr.diagnosis import svm
+from cardiomr.diagnosis import forest, svm
 from cardiomr.diagnosis.ensemble import _majority, stratified_folds
+from cardiomr.diagnosis.mlp import _softmax
 from cardiomr.features import FEATURE_NAMES
 
 
@@ -110,6 +113,62 @@ class TestRandomForest:
             train_ensemble(ds, n_trees=0)
 
 
+    @pytest.mark.parametrize("n_trees", [2, 4, 25])
+    def test_vectorised_walk_matches_one_row_one_tree(self, n_trees):
+        rng = np.random.default_rng(30 + n_trees)
+        X = rng.normal(size=(120, 5))
+        y = rng.choice(["A", "B", "C"], size=120)  # noise: deep trees
+        clf = RandomForest(n_trees=n_trees, seed=n_trees).fit(X, y)
+        Xq = rng.normal(size=(300, 5))
+        Xq[rng.random(Xq.shape) < 0.15] = np.nan
+        labels, tied = zip(*(_walk_one_row_one_tree(clf, row) for row in Xq))
+        assert np.array_equal(clf.predict(Xq), labels)
+        has_nan = np.isnan(Xq).any(axis=1)
+        assert has_nan.any() and not has_nan.all()
+        if n_trees < 25:
+            assert any(tied)
+
+    def test_walk_sends_nan_right(self):
+        X = np.array([[0.0], [1.0]] * 10)
+        y = np.array(["L", "R"] * 10)
+        clf = RandomForest(n_trees=15, seed=0).fit(X, y)
+        assert clf.predict(np.array([[np.nan], [0.0], [1.0]])).tolist() == ["R", "L", "R"]
+
+    def test_fitted_forest_is_plain_arrays(self):
+        X, y = blobs(np.random.default_rng(8), n_per_class=20)
+        clf = RandomForest(n_trees=5, seed=0).fit(X, y)
+        for name, value in vars(clf).items():
+            assert isinstance(value, (np.ndarray, int, float, np.generic)), name
+            assert getattr(value, "dtype", None) != object, name
+        n_nodes = clf.feature_.shape
+        assert clf.threshold_.shape == clf.right_.shape == clf.leaf_class_.shape == n_nodes
+        assert clf.roots_.shape == (5,)
+
+    def test_save_load_predict_with_1000_trees(self, tmp_path):
+        rng = np.random.default_rng(24)
+        ds = _cohort_dataset(rng, n_per_class=4)
+        model = train_ensemble(ds, seed=0, n_trees=1000, cv_folds=2)
+        save_model(model, tmp_path / "model.pkl")
+        back = load_model(tmp_path / "model.pkl")
+        assert back.stage1["RF"].roots_.shape == (1000,)
+        rows = np.vstack([ds.X, rng.normal(6, 4, size=ds.X.shape)])
+        for row in rows:
+            assert predict_two_stage(back, row) == predict_two_stage(model, row)
+
+
+def _walk_one_row_one_tree(clf, row):
+    """The forest's label for one row, walking one tree at a time over the
+    fitted arrays, and whether the top vote was tied."""
+    leaves = []
+    for node in clf.roots_:
+        while clf.feature_[node] >= 0:
+            left = row[clf.feature_[node]] <= clf.threshold_[node]
+            node = node + 1 if left else clf.right_[node]
+        leaves.append(clf.leaf_class_[node])
+    votes = np.bincount(leaves, minlength=len(clf.classes_))
+    return clf.classes_[np.argmax(votes)], (votes == votes.max()).sum() > 1
+
+
 class TestMLP:
     def test_xor(self):
         rng = np.random.default_rng(5)
@@ -131,6 +190,13 @@ class TestMLP:
         assert all(np.array_equal(wa, wb) for wa, wb in zip(a.W_, b.W_))
         assert all(np.array_equal(ba, bb) for ba, bb in zip(a.b_, b.b_))
 
+    def test_adam_matches_per_layer_reference(self):
+        rng = np.random.default_rng(9)
+        X, y = blobs(rng, n_per_class=30, centers=((0, 0), (3, 3), (0, 4)), sigma=1.5)
+        clf = MLPClassifier(hidden=(16, 8), seed=5, max_epochs=150, patience=1000).fit(X, y)
+        W, b = _per_layer_adam(X, y, hidden=(16, 8), seed=5, epochs=150)
+        assert all(np.array_equal(u, v) for u, v in zip(clf.W_ + clf.b_, W + b))
+
     def test_non_convergence_raises_training_error(self):
         X = np.array([[0.0], [0.0]])
         y = np.array(["A", "B"])  # identical inputs, different labels
@@ -138,6 +204,44 @@ class TestMLP:
             MLPClassifier(hidden=(4,), seed=0, learning_rate=0.0,
                           max_epochs=50, patience=5).fit(X, y)
         assert err.value.history
+
+
+def _per_layer_adam(X, y, hidden, seed, epochs, lr=1e-3):
+    """Best-loss weights of full-batch Adam with separate weight and bias
+    moments, each layer stepped as soon as its gradient is taken."""
+    ref = MLPClassifier(hidden=hidden, seed=seed)
+    classes = np.unique(y)
+    y_enc = np.searchsorted(classes, y)
+    n = len(y)
+    onehot = np.eye(len(classes))[y_enc]
+    ref._init_weights((X.shape[1],) + hidden + (len(classes),), np.random.default_rng(seed))
+    mW = [np.zeros_like(W) for W in ref.W_]
+    vW = [np.zeros_like(W) for W in ref.W_]
+    mb = [np.zeros_like(b) for b in ref.b_]
+    vb = [np.zeros_like(b) for b in ref.b_]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    best_loss, best = np.inf, None
+    for epoch in range(epochs):
+        acts = ref._forward(X)
+        probs = _softmax(acts[-1])
+        loss = float(-np.log(np.maximum(probs[np.arange(n), y_enc], 1e-300)).mean())
+        if loss < best_loss - 1e-12:
+            best_loss = loss
+            best = ([W.copy() for W in ref.W_], [b.copy() for b in ref.b_])
+        delta = (probs - onehot) / n
+        t = epoch + 1
+        for i in reversed(range(len(ref.W_))):
+            gW = acts[i].T @ delta
+            gb = delta.sum(axis=0)
+            if i > 0:
+                delta = (delta @ ref.W_[i].T) * (acts[i] > 0)
+            mW[i] = beta1 * mW[i] + (1 - beta1) * gW
+            vW[i] = beta2 * vW[i] + (1 - beta2) * gW**2
+            mb[i] = beta1 * mb[i] + (1 - beta1) * gb
+            vb[i] = beta2 * vb[i] + (1 - beta2) * gb**2
+            ref.W_[i] -= lr * (mW[i] / (1 - beta1**t)) / (np.sqrt(vW[i] / (1 - beta2**t)) + eps)
+            ref.b_[i] -= lr * (mb[i] / (1 - beta1**t)) / (np.sqrt(vb[i] / (1 - beta2**t)) + eps)
+    return best
 
 
 class TestSvm:
@@ -327,6 +431,61 @@ class TestTwoStage:
         path.write_bytes(pickle.dumps({"kind": "other"}))
         with pytest.raises(ValueError, match="not an ensemble"):
             load_model(path)
+
+
+class TestModelFile:
+    """load_model refuses, naming the file, anything this version did not write."""
+
+    @pytest.mark.parametrize("content", [
+        b"not a model\n",
+        np.random.default_rng(3).bytes(512),
+        b"",
+    ], ids=["text", "random", "empty"])
+    def test_unreadable_file(self, tmp_path, content):
+        path = tmp_path / "model.pkl"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="model.pkl: not a cardiomr model file this version"):
+            load_model(path)
+
+    def test_schema_1(self, tmp_path):
+        path = tmp_path / "model.pkl"
+        path.write_bytes(pickle.dumps({"kind": "cardiomr-ensemble", "schema": 1, "model": None}))
+        with pytest.raises(ValueError, match=r"model.pkl: model schema 1 unsupported \(expected 2\);"
+                                             " retrain with train-clf"):
+            load_model(path)
+
+    def test_forest_of_tree_objects(self, tmp_path, monkeypatch):
+        """A file whose forest holds ``_Tree`` objects, as forests did before
+        they became flat arrays."""
+        class _Tree:
+            pass
+
+        _Tree.__module__, _Tree.__qualname__ = forest.__name__, "_Tree"
+        monkeypatch.setattr(forest, "_Tree", _Tree, raising=False)
+        rf = RandomForest(n_trees=1)
+        rf.trees_ = [_Tree()]
+        path = tmp_path / "old.pkl"
+        path.write_bytes(pickle.dumps({"kind": "cardiomr-ensemble", "schema": 1, "model": rf}))
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="old.pkl: not a cardiomr model file .*_Tree"):
+            load_model(path)
+
+
+class TestTrainingErrors:
+    def test_expert_failure_names_the_expert(self):
+        ds = _cohort_dataset(np.random.default_rng(25))
+        ds.X[:, 16:20] = 1.0  # the expert's ES wall features carry nothing
+        with pytest.raises(TrainingError, match="^expert MLP: loss failed to decrease"):
+            train_ensemble(ds, seed=0, n_trees=5, cv_folds=3)
+
+    def test_one_class_names_the_class(self):
+        ds = Dataset(X=np.arange(12.0).reshape(6, 2), y=np.array(["HCM"] * 6))
+        with pytest.raises(ValueError, match="need at least 2 classes to train, found only HCM"):
+            train_ensemble(ds, n_trees=5)
+
+    def test_no_records(self):
+        with pytest.raises(ValueError, match="at least one feature record"):
+            Dataset.from_records([], [])
 
 
 class TestPreprocessor:

@@ -611,3 +611,81 @@ class TestCsvColumns:
                    "--model", str(tmp_path / "m.pkl")])
         assert rc == 2
         assert "missing column(s): label" in capsys.readouterr().err
+
+
+class TestClassifierFailures:
+    """train-clf and predict fail by name (exit 2), without a traceback."""
+
+    @staticmethod
+    def write_cohort(tmp_path, values, labels):
+        """features.csv and labels.csv of one row per label; ``values(i)`` is
+        row i's feature cell text."""
+        header = ",".join(("case_id",) + FEATURE_NAMES)
+        rows = [f"c{i}," + ",".join([values(i)] * len(FEATURE_NAMES)) for i in range(len(labels))]
+        (tmp_path / "features.csv").write_text("\n".join([header] + rows) + "\n")
+        (tmp_path / "labels.csv").write_text(
+            "\n".join(["case_id,label"] + [f"c{i},{lab}" for i, lab in enumerate(labels)]) + "\n")
+        return ["--features", str(tmp_path / "features.csv"),
+                "--labels", str(tmp_path / "labels.csv")]
+
+    def train(self, tmp_path, capsys, values, labels):
+        args = self.write_cohort(tmp_path, values, labels)
+        rc = main(["train-clf"] + args + ["--model", str(tmp_path / "m.pkl"), "--trees", "3"])
+        assert rc == 2 and not (tmp_path / "m.pkl").exists()
+        return capsys.readouterr().err
+
+    def test_identical_rows_name_the_classifier(self, tmp_path, capsys):
+        err = self.train(tmp_path, capsys, lambda i: "1.5", ["NOR", "DCM"] * 2)
+        assert err.startswith("error: stage-1 MLP: loss failed to decrease")
+
+    def test_one_class_names_the_class(self, tmp_path, capsys):
+        err = self.train(tmp_path, capsys, lambda i: f"{i}", ["NOR"] * 4)
+        assert "need at least 2 classes to train, found only NOR" in err
+
+    def test_empty_features_csv_names_the_file(self, tmp_path, capsys):
+        err = self.train(tmp_path, capsys, lambda i: "1.5", [])
+        assert "features.csv: no feature records to train on" in err
+
+    def test_predict_on_empty_features_csv(self, tmp_path, capsys):
+        from cardiomr.diagnosis import Dataset, save_model, train_ensemble
+
+        X = np.arange(80.0).reshape(4, 20)
+        save_model(train_ensemble(Dataset(X=X, y=np.array(["NOR", "DCM"] * 2)), n_trees=3),
+                   tmp_path / "m.pkl")
+        args = self.write_cohort(tmp_path, lambda i: "1.5", [])
+        assert main(["predict", "--model", str(tmp_path / "m.pkl")] + args[:2]) == 0
+        assert json.loads(capsys.readouterr().out) == {}
+
+    @staticmethod
+    def unreadable_models(tmp_path):
+        """Model files that this version cannot read, and the refusal of each."""
+        import pickle
+
+        files = {
+            "text.pkl": b"not a model\n",
+            "random.pkl": np.random.default_rng(5).bytes(512),
+            "empty.pkl": b"",
+            "schema1.pkl": pickle.dumps({"kind": "cardiomr-ensemble", "schema": 1, "model": None}),
+        }
+        for name, content in files.items():
+            (tmp_path / name).write_bytes(content)
+            why = ("model schema 1 unsupported (expected 2); retrain with train-clf"
+                   if name == "schema1.pkl" else "not a cardiomr model file this version can read")
+            yield tmp_path / name, why
+
+    def test_predict_refuses_unreadable_models(self, tmp_path, capsys):
+        args = self.write_cohort(tmp_path, lambda i: "1.5", ["NOR"])
+        for path, why in self.unreadable_models(tmp_path):
+            assert main(["predict", "--model", str(path)] + args[:2]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: {why}") and "Traceback" not in err
+
+    def test_pipeline_refuses_unreadable_models(self, case, tmp_path, capsys):
+        for path, why in self.unreadable_models(tmp_path):
+            rc = main(["pipeline", "--input", str(case / "cine.vol"), "--seg-ed", str(case / "ed.vol"),
+                       "--seg-es", str(case / "es.vol"), "--model", str(path),
+                       "--out-dir", str(tmp_path / "out")])
+            assert rc == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: stage 'predict' failed: {path}: {why}")
+            assert "Traceback" not in err
