@@ -2,7 +2,8 @@
 
 Volumes, mass and ejection fractions come from voxel counts and spacing;
 the wall-thickness profile comes from per-slice shortest distances
-between the endocardial and epicardial contours.
+between the endocardial and epicardial contours, each the rim of its
+region, so wall thickness runs from rim to rim.
 """
 
 from cardiomr.features import FEATURE_NAMES, PhaseLabels, extract_features, mwt_result

@@ -38,8 +38,15 @@ as the same data is read back.
 ``inputs.sha256`` holds a digest of every case's cine, segmentations and
 ground truths as that tree's own ``load_volume`` decodes them (dtype, shape,
 spacing and data), so drift in the phantoms the inputs are drawn from fails
-even where no output moves. Exits 0 when all artifacts are identical, 1
-otherwise, listing the files that differ or exist on one side only.
+even where no output moves.
+
+A change that alters artifacts on purpose declares them in
+``scripts/expected_output_changes.txt``: one glob pattern per line, matched
+with ``fnmatch`` against the whole artifact path (``*`` also crosses ``/``),
+and ``#`` starting a comment. Every artifact that differs or exists on one
+side only is listed. Exits 1 when such an artifact matches no pattern, or
+when a pattern matches no such artifact (a declared change that did not
+happen, so a stale line fails the next change), and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -51,9 +58,11 @@ import os
 import subprocess
 import sys
 import tempfile
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
+EXPECTED_CHANGES = HERE / "scripts" / "expected_output_changes.txt"
 SEEDS = (1, 2, 3, 4)
 N_CASES = 3
 N_MODEL_CASES = 10
@@ -201,6 +210,21 @@ def artifacts_under(root: Path) -> set:
     return {p.relative_to(root) for p in found if p.is_file()}
 
 
+def declared_patterns(path: Path = EXPECTED_CHANGES) -> list:
+    """The glob patterns of ``path``, without comments and blank lines."""
+    lines = (line.split("#", 1)[0].strip() for line in path.read_text().splitlines())
+    return [line for line in lines if line]
+
+
+def undeclared(changed, patterns) -> list:
+    """Changed artifacts no pattern matches, then patterns matching none of them."""
+    problems = [f"undeclared: {p}" for p in changed
+                if not any(fnmatchcase(p, pattern) for pattern in patterns)]
+    problems += [f"stale pattern: {pattern}" for pattern in patterns
+                 if not any(fnmatchcase(p, pattern) for p in changed)]
+    return problems
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path, help="source tree to compare against")
@@ -210,6 +234,7 @@ def main(argv=None) -> int:
     if args.child is not None:
         write_outputs(args.base, args.child)
         return 0
+    patterns = declared_patterns()
 
     with tempfile.TemporaryDirectory() as tmp:
         outs, children = {}, []
@@ -227,12 +252,15 @@ def main(argv=None) -> int:
         _, mismatch, errors = filecmp.cmpfiles(
             outs["base"], outs["head"], sorted(base & head), shallow=False
         )
-        problems = [f"differs: {p}" for p in mismatch + errors]
-        problems += [f"base only: {p}" for p in sorted(base - head)]
-        problems += [f"head only: {p}" for p in sorted(head - base)]
+        changed = {Path(p).as_posix(): "differs" for p in mismatch + errors}
+        changed.update((p.as_posix(), "base only") for p in base - head)
+        changed.update((p.as_posix(), "head only") for p in head - base)
+    for path in sorted(changed):
+        print(f"{changed[path]}: {path}")
+    print(f"{len(base | head) - len(changed)} of {len(base | head)} artifacts identical")
+    problems = undeclared(sorted(changed), patterns)
     for line in problems:
         print(line)
-    print(f"{len(base & head) - len(mismatch) - len(errors)} of {len(base | head)} artifacts identical")
     return 1 if problems else 0
 
 

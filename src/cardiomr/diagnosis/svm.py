@@ -27,11 +27,11 @@ def rbf_kernel(A, B, gamma: float) -> np.ndarray:
 class _BinarySvm:
     """Soft-margin binary SVM on labels in {-1, +1}."""
 
-    def __init__(self, gamma: float, rng):
+    def __init__(self, gamma: float):
         self.gamma = gamma
-        self.rng = rng
 
-    def fit(self, X, y):
+    def fit(self, X, y, rng):
+        """SMO; ``rng`` orders the random-restart scans and is not kept."""
         n = X.shape[0]
         K = rbf_kernel(X, X, self.gamma)
         alpha = np.zeros(n)
@@ -86,10 +86,10 @@ class _BinarySvm:
                     i = int(non_bound[np.argmax(np.abs(errors[non_bound] - ej))])
                     if take_step(i, j):
                         return True
-                for i in self.rng.permutation(non_bound):
+                for i in rng.permutation(non_bound):
                     if take_step(int(i), j):
                         return True
-                for i in self.rng.permutation(n):
+                for i in rng.permutation(n):
                     if take_step(int(i), j):
                         return True
             return False
@@ -146,9 +146,7 @@ class RbfSvm:
                 mask = (y == self.classes_[a]) | (y == self.classes_[bb])
                 Xp = X[mask]
                 yp = np.where(y[mask] == self.classes_[a], 1.0, -1.0)
-                svm = _BinarySvm(self.gamma_, rng)
-                svm.fit(Xp, yp)
-                self.pairs_[(a, bb)] = svm
+                self.pairs_[(a, bb)] = _BinarySvm(self.gamma_).fit(Xp, yp, rng)
         return self
 
     def predict(self, X):

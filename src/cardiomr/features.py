@@ -4,7 +4,8 @@ Twenty features per patient: chamber volumes, myocardial mass, ejection
 fractions, volume/mass ratios, and eight myocardial wall thickness (MWT)
 profile statistics. Wall thickness per short-axis slice is the set of
 shortest physical distances from the interior (endocardial) contour to
-the exterior (epicardial) contour.
+the exterior (epicardial) contour, each the rim of its region: wall
+thickness runs from rim to rim.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ import numpy as np
 
 from scipy import ndimage
 
-from .loss import class_contour
 from .metrics import _coords_mm, _nearest_distances
 from .postprocess import fill_holes
-from .roi import canny_reach, nonzero_window
+from .roi import nonzero_window
 from .volume import ACDC_SCHEMA, LabelVolume
 
 MYOCARDIUM_DENSITY_G_PER_ML = 1.05  # standard clinical constant
@@ -138,33 +138,32 @@ def ejection_fraction(edv: float, esv: float) -> Optional[float]:
 
 
 def region_contour(mask: np.ndarray) -> np.ndarray:
-    """One-pixel-wide contour of a filled 2D binary region, on its rim.
+    """One-pixel-wide contour of a filled 2D binary region: its rim.
 
-    Canny edges of the mask, pulled onto the region (dilation intersected
-    with the mask), then reduced to one-pixel width by intersecting with
-    the erosion rim of the region. Contours of nested regions therefore
-    stay disjoint even across one-pixel walls.
+    The rim is the region minus its 3x3 erosion: every pixel with a
+    background (or off-slice) pixel among its eight neighbours. It has no
+    gaps, and a non-empty region has one: its first pixel in C order has
+    no region pixel just before it. Wall thickness runs from rim to rim.
     """
     mask = np.asarray(mask).astype(bool)
-    band = class_contour(mask, dilate_iters=1)
-    rim = mask & ~ndimage.binary_erosion(mask, structure=np.ones((3, 3), bool))
-    return band & rim
+    return mask & ~ndimage.binary_erosion(mask, structure=np.ones((3, 3), bool))
 
 
 def mwt_per_slice(lbl_slice: np.ndarray, spacing, myo_id: int = 2) -> Optional[MwtSlice]:
-    """Wall thickness set of one short-axis slice, or None when degenerate.
+    """Wall thickness set of one short-axis slice, or None without a cavity.
 
     Epicardial region = hole-filled MYO mask; cavity = filled minus MYO;
-    thickness of each interior-contour pixel is its shortest physical
-    distance to the exterior contour.
+    thickness of each cavity-rim pixel is its shortest physical distance
+    to the epicardial region's rim.
     """
     lbl_slice = np.asarray(lbl_slice)
     myo = lbl_slice == myo_id
     if not myo.any():
         return None
-    # every region below lies in MYO's bounding box; the margin is the one
-    # the contours' Canny windows need, so the crop changes no bit
-    wx, wy = nonzero_window(myo, canny_reach(1.0) + 1)
+    # every region lies in MYO's box; grown by one pixel, each window border
+    # row or column is the slice border or background joined to it outside
+    # the box, so every rim and every hole is as on the whole slice
+    wx, wy = nonzero_window(myo, 1)
     myo = myo[wx, wy]
     epi_region = fill_holes(myo)
     cavity = epi_region & ~myo
@@ -172,8 +171,6 @@ def mwt_per_slice(lbl_slice: np.ndarray, spacing, myo_id: int = 2) -> Optional[M
         return None
     exterior = region_contour(epi_region)
     interior = region_contour(cavity)
-    if not exterior.any() or not interior.any():
-        return None
     # whole-slice indices before scaling: the same integers times the same
     # spacing as without the crop
     offset = np.array([wx.start, wy.start])
@@ -196,7 +193,7 @@ def mwt_result(lbl: LabelVolume) -> MWTResult:
             continue
         entry = mwt_per_slice(sl, lbl.spacing[:2], myo_id)
         if entry is None:
-            excluded.append((z, "degenerate (no cavity or contour)"))
+            excluded.append((z, "no cavity"))
             continue
         entry.z = z
         slices.append(entry)

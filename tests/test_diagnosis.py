@@ -275,6 +275,14 @@ class TestSvm:
         clf = RbfSvm().fit(X[:140], y[:140])
         assert (clf.predict(X[140:]) == y[140:]).mean() >= 0.95
 
+    def test_fitted_pairs_keep_no_generator(self):
+        rng = np.random.default_rng(10)
+        X, y = blobs(rng, centers=((0, 0), (8, 0), (0, 8)), n_per_class=20)
+        clf = RbfSvm().fit(X, y)
+        assert len(clf.pairs_) == 3
+        for pair in clf.pairs_.values():
+            assert not any(isinstance(v, np.random.Generator) for v in vars(pair).values())
+
 
 class TestCrossValidation:
     def test_perfectly_separable_scores_one(self):

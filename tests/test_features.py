@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,8 @@ from cardiomr.features import (
     mwt_result,
     myo_mass_g,
 )
-from cardiomr.phantoms import annulus_mask, disk_mask, heart_label_volume
+from cardiomr.phantoms import annulus_mask, disease_cohort, disk_mask, heart_label_volume
+from cardiomr.postprocess import fill_holes
 from cardiomr.volume import LabelVolume
 
 
@@ -154,6 +159,55 @@ class TestMwtPerSlice:
             tracemalloc.stop()
         assert entry is not None and entry.thickness_mm.size > 0
         assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def rim(mask):
+    """Region pixels with a background pixel among their eight neighbours."""
+    return mask & ~ndimage.binary_erosion(mask, np.ones((3, 3), bool))
+
+
+def rim_to_rim(lbl_slice, spacing):
+    """Oracle: per cavity-rim pixel, the distance to the nearest pixel of the
+    epicardial region's rim, over the whole slice."""
+    myo = lbl_slice == 2
+    epi = fill_holes(myo)
+    scale = np.asarray(spacing, dtype=float)
+    i_pts = np.argwhere(rim(epi & ~myo)) * scale
+    e_pts = np.argwhere(rim(epi)) * scale
+    return np.sqrt(((i_pts[:, None, :] - e_pts[None, :, :]) ** 2).sum(axis=2).min(axis=1))
+
+
+class TestMwtOnTheRim:
+    def test_concave_cavity_corner(self):
+        # an L-shaped cavity; a Canny band of it missed the rim pixel at the
+        # inner corner of the L, (18, 16)
+        sl = np.where(disk_mask((40, 40), (20, 20), 15), 2, 0).astype(np.uint8)
+        sl[13:19, 14:19] = 3
+        sl[19:23, 14:17] = 3
+        entry = mwt_per_slice(sl, (1.2, 0.9))
+        assert entry.thickness_mm.size == np.count_nonzero(rim(sl == 3)) == 26
+        assert np.allclose(entry.thickness_mm, rim_to_rim(sl, (1.2, 0.9)))
+
+    def test_cohort_slices(self):
+        # case 2 is MINF; a Canny band of its epicardial region missed one to
+        # three rim pixels on 8 of its 14 slices, which moved thicknesses
+        for ed, es, _ in disease_cohort(3, seed=11):
+            for phase in (ed, es):
+                for z in range(phase.dims[2]):
+                    sl = phase.data[:, :, z]
+                    entry = mwt_per_slice(sl, phase.spacing[:2])
+                    assert np.allclose(entry.thickness_mm, rim_to_rim(sl, phase.spacing[:2]))
+
+    def test_features_import_leaves_loss_out(self):
+        import cardiomr
+
+        env = dict(os.environ)
+        src = str(Path(cardiomr.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, cardiomr.features; print('cardiomr.loss' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["False"]
 
 
 class TestMwtResultAndProfile:

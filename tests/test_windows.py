@@ -51,9 +51,7 @@ def reference_class_contour(mask, dilate_iters=1):
 
 
 def reference_region_contour(mask):
-    band = reference_class_contour(mask, dilate_iters=1)
-    rim = mask & ~ndimage.binary_erosion(mask, structure=np.ones((3, 3), bool))
-    return band & rim
+    return mask & ~ndimage.binary_erosion(mask, structure=np.ones((3, 3), bool))
 
 
 def reference_mwt_thickness(lbl_slice, spacing, myo_id=2):
