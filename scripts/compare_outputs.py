@@ -26,15 +26,20 @@ depths, growth rate and input size. Per seed it writes the features of a
 train-clf`` on the first 60 cases and ``cardiomr predict`` on the 40 after
 them, so the classifier's labels and audits, with every voter's vote, are
 compared directly rather than through the pipeline's one prediction per
-case. These commands run through ``cli.main``. The artifacts
-(``report.json``, ``roi_patch.vol``, the cleaned labels, the two eval CSVs
-and the features CSV of every case; the ROI center, patch and augmented
-pairs with their sidecars, and the noisy cine's ROI center and patch, of
-the first case; each seed's classifier CSVs and ``predict.json``; the ten
-``netinfo`` files; and each seed's ``inputs.sha256``) are then compared
-byte for byte. The input files themselves, the models included, are not
-compared, so a change to how a model or a volume is stored passes as long
-as the same data is read back.
+case; and it writes ``model.sha256``, a digest of the trained model's
+fitted arrays (forest, MLP weights and biases, SVM and naive Bayes state,
+preprocessor statistics, the expert's, and the cross-validation
+accuracies) as ``load_model`` reads them back, so a training change that
+moves no label or vote still shows. These commands run through
+``cli.main``. The artifacts (``report.json``, ``roi_patch.vol``, the
+cleaned labels, the two eval CSVs and the features CSV of every case; the
+ROI center, patch and augmented pairs with their sidecars, and the noisy
+cine's ROI center and patch, of the first case; each seed's classifier
+CSVs, ``predict.json`` and ``model.sha256``; the ten ``netinfo`` files;
+and each seed's ``inputs.sha256``) are then compared byte for byte. The
+input files themselves, the models included, are not compared, so a change
+to how a model or a volume is stored passes as long as the same data is
+read back.
 ``inputs.sha256`` holds a digest of every case's cine, segmentations and
 ground truths as that tree's own ``load_volume`` decodes them (dtype, shape,
 spacing and data), so drift in the phantoms the inputs are drawn from fails
@@ -160,6 +165,57 @@ def write_classifier_outputs(seed: int, out: Path) -> None:
             "--model", out / "model.pkl", "--seed", seed)
     run_cli("predict", "--model", out / "model.pkl", "--features", out / "test.csv",
             "--out", out / "predict.json")
+    write_model_digest(out / "model.pkl", out / "model.sha256")
+
+
+def fitted_arrays(model):
+    """``(name, value)`` of every fitted number an ``EnsembleModel`` predicts
+    with, and of its cross-validation accuracies, in a fixed order."""
+    def mlp(name, clf):
+        yield f"{name}.classes_", clf.classes_
+        for i, (w, b) in enumerate(zip(clf.W_, clf.b_)):
+            yield f"{name}.W_[{i}]", w
+            yield f"{name}.b_[{i}]", b
+
+    def prep(name, p):
+        for field in ("medians", "means", "stds"):
+            yield f"{name}.{field}", getattr(p, field)
+
+    for name in sorted(model.cv_accuracy):
+        yield f"cv_accuracy.{name}", model.cv_accuracy[name]
+    yield from prep("preprocessor", model.preprocessor)
+    svm, gnb, forest = model.stage1["SVM"], model.stage1["GNB"], model.stage1["RF"]
+    yield "SVM.classes_", svm.classes_
+    yield "SVM.gamma_", svm.gamma_
+    for pair in sorted(svm.pairs_):
+        for field in ("support_vectors_", "support_coef_", "b"):
+            yield f"SVM.pairs_[{pair}].{field}", getattr(svm.pairs_[pair], field)
+    yield from mlp("MLP", model.stage1["MLP"])
+    for field in ("classes_", "theta_", "var_", "priors_"):
+        yield f"GNB.{field}", getattr(gnb, field)
+    for field in ("classes_", "roots_", "feature_", "threshold_", "right_", "leaf_class_",
+                  "feature_importances_", "feature_importances_std_"):
+        yield f"RF.{field}", getattr(forest, field)
+    if model.expert is not None:
+        yield from mlp("expert", model.expert)
+        yield from prep("expert_preprocessor", model.expert_preprocessor)
+
+
+def write_model_digest(model_path: Path, out: Path) -> None:
+    """``model.sha256``: one SHA-256 over the fitted arrays of the model file
+    as ``load_model`` reads it back (names, dtypes, shapes and bytes), so a
+    change to how the model is stored passes while any training change fails."""
+    import hashlib
+
+    import numpy as np
+    from cardiomr.diagnosis import load_model
+
+    digest = hashlib.sha256()
+    for name, value in fitted_arrays(load_model(model_path)):
+        arr = np.ascontiguousarray(value)
+        digest.update(repr((name, arr.dtype.str, arr.shape)).encode())
+        digest.update(arr.tobytes())
+    out.write_text(f"{digest.hexdigest()}  {model_path.name}\n")
 
 
 def write_input_digests(cases, root: Path) -> None:
@@ -205,7 +261,8 @@ def write_outputs(tree: Path, out: Path) -> None:
 
 def artifacts_under(root: Path) -> set:
     patterns = ("seed*/inputs.sha256", "seed*/*/out/*", "seed*/*/eval/*", "seed*/*/cli/**/*",
-                "seed*/classify/*.csv", "seed*/classify/*.json", "netinfo/*")
+                "seed*/classify/*.csv", "seed*/classify/*.json", "seed*/classify/model.sha256",
+                "netinfo/*")
     found = [p for pattern in patterns for p in root.glob(pattern)]
     return {p.relative_to(root) for p in found if p.is_file()}
 

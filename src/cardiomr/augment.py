@@ -5,6 +5,10 @@ lives in :func:`sample_params`, so an augmentation is reproducible from
 its parameter record alone. Rotation, translation, zoom and the elastic
 field compose into a single backward coordinate map, so the image is
 resampled exactly once (bilinear; labels nearest-neighbor).
+
+Resampling is ``scipy.ndimage.map_coordinates``: this module and the
+Hausdorff KD-tree fallback in :mod:`cardiomr.metrics` are the only users
+of scipy, so the CLI imports this module only inside ``cardiomr augment``.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ subcommands that read configuration (``roi``, ``weights``, ``loss``,
 ``postproc``, ``features`` and ``pipeline``) accept ``--config FILE`` (flat
 key=value) and honor CARDIOMR_* environment overrides; diagnostics go to
 stderr, data goes to files, or to stdout when ``--out -`` is given. Exit
-code 0 on success.
+code 0 on success. Only ``augment`` imports scipy, when it runs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from .augment import augment_volume, sample_params
 from .diagnosis import (
     Dataset,
     load_model,
@@ -63,6 +62,8 @@ def _cmd_roi(args) -> int:
 
 
 def _cmd_augment(args) -> int:
+    from .augment import augment_volume, sample_params  # scipy, for this command only
+
     vol = load_volume(args.input, "scalar")
     lbl = load_volume(args.labels, "label") if args.labels else None
     out_dir = Path(args.out_dir)

@@ -15,8 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from scipy import ndimage
-
+from .kernels import erode
 from .metrics import _coords_mm, _nearest_distances
 from .postprocess import fill_holes
 from .roi import nonzero_window
@@ -138,45 +137,49 @@ def ejection_fraction(edv: float, esv: float) -> Optional[float]:
 
 
 def region_contour(mask: np.ndarray) -> np.ndarray:
-    """One-pixel-wide contour of a filled 2D binary region: its rim.
+    """One-pixel-wide contour of a filled binary region: its rim.
 
-    The rim is the region minus its 3x3 erosion: every pixel with a
-    background (or off-slice) pixel among its eight neighbours. It has no
-    gaps, and a non-empty region has one: its first pixel in C order has
-    no region pixel just before it. Wall thickness runs from rim to rim.
+    ``mask`` is a 2D slice or an ``(nx, ny, nz)`` stack of them. The rim is
+    the region minus its 3x3 erosion: every pixel with a background (or
+    off-slice) pixel among its eight in-plane neighbours. It has no gaps,
+    and a non-empty region has one: its first pixel in C order has no
+    region pixel just before it. Wall thickness runs from rim to rim.
     """
     mask = np.asarray(mask).astype(bool)
-    return mask & ~ndimage.binary_erosion(mask, structure=np.ones((3, 3), bool))
+    return mask & ~erode(mask, square=True)
 
 
-def mwt_per_slice(lbl_slice: np.ndarray, spacing, myo_id: int = 2) -> Optional[MwtSlice]:
+def mwt_per_slice(lbl_slice: np.ndarray, spacing, myo_id: int = 2):
     """Wall thickness set of one short-axis slice, or None without a cavity.
 
     Epicardial region = hole-filled MYO mask; cavity = filled minus MYO;
     thickness of each cavity-rim pixel is its shortest physical distance
-    to the epicardial region's rim.
+    to the epicardial region's rim. An ``(nx, ny, nz)`` stack gives the
+    list of every slice's result, with each ``MwtSlice.z`` set; the holes
+    and rims of all slices are found in one pass.
     """
-    lbl_slice = np.asarray(lbl_slice)
-    myo = lbl_slice == myo_id
-    if not myo.any():
-        return None
-    # every region lies in MYO's box; grown by one pixel, each window border
-    # row or column is the slice border or background joined to it outside
-    # the box, so every rim and every hole is as on the whole slice
+    lbl = np.asarray(lbl_slice)
+    stack = lbl if lbl.ndim == 3 else lbl[:, :, np.newaxis]
+    results: List[Optional[MwtSlice]] = [None] * stack.shape[2]
+    myo = stack == myo_id
+    # every region lies in MYO's box over all slices; grown by one pixel,
+    # each window border row or column is the slice border or background
+    # joined to it outside the box, so every rim and hole is as on the slice
     wx, wy = nonzero_window(myo, 1)
     myo = myo[wx, wy]
     epi_region = fill_holes(myo)
     cavity = epi_region & ~myo
-    if not cavity.any():
-        return None
     exterior = region_contour(epi_region)
     interior = region_contour(cavity)
     # whole-slice indices before scaling: the same integers times the same
     # spacing as without the crop
     offset = np.array([wx.start, wy.start])
     scale = np.asarray(spacing[:2], dtype=np.float64)
-    return MwtSlice(z=-1, thickness_mm=_nearest_distances(
-        _coords_mm(interior, scale, offset), _coords_mm(exterior, scale, offset)))
+    for z in np.flatnonzero(cavity.any(axis=(0, 1))):
+        results[z] = MwtSlice(z=int(z) if lbl.ndim == 3 else -1, thickness_mm=_nearest_distances(
+            _coords_mm(interior[:, :, z], scale, offset),
+            _coords_mm(exterior[:, :, z], scale, offset)))
+    return results if lbl.ndim == 3 else results[0]
 
 
 def mwt_result(lbl: LabelVolume) -> MWTResult:
@@ -184,19 +187,14 @@ def mwt_result(lbl: LabelVolume) -> MWTResult:
     if lbl.data.ndim != 3:
         raise ValueError("mwt_result expects a 3D label volume")
     myo_id = ACDC_SCHEMA.id_of("MYO")
+    has_myo = (lbl.data == myo_id).any(axis=(0, 1))
     slices: List[MwtSlice] = []
     excluded: List[tuple] = []
-    for z in range(lbl.dims[2]):
-        sl = lbl.data[:, :, z]
-        if not (sl == myo_id).any():
-            excluded.append((z, "no myocardium"))
-            continue
-        entry = mwt_per_slice(sl, lbl.spacing[:2], myo_id)
-        if entry is None:
-            excluded.append((z, "no cavity"))
-            continue
-        entry.z = z
-        slices.append(entry)
+    for z, entry in enumerate(mwt_per_slice(lbl.data, lbl.spacing[:2], myo_id)):
+        if entry is not None:
+            slices.append(entry)
+        else:
+            excluded.append((z, "no cavity" if has_myo[z] else "no myocardium"))
     return MWTResult(slices=slices, excluded=excluded)
 
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
+from .kernels import dilate_cross
 from .roi import canny_edges, canny_reach, nonzero_window
 
 PROB_FLOOR = 1e-12  # floor inside log(); occurrences are reported
@@ -63,8 +63,7 @@ def class_contour(mask: np.ndarray, dilate_iters: int = 1) -> np.ndarray:
     inside = mask[win]
     edges = canny_edges(inside.astype(np.float64), 1.0, 0.1, 0.2)
     if dilate_iters > 0:
-        cross = ndimage.generate_binary_structure(2, 1)
-        edges = ndimage.binary_dilation(edges, structure=cross, iterations=dilate_iters)
+        edges = dilate_cross(edges, dilate_iters)
     out = np.zeros(mask.shape, dtype=bool)
     out[win] = edges & inside
     return out

@@ -15,7 +15,8 @@ to the union's bounding box, and coordinates are formed from the full
 array's integer indices, so every distance is the float the full-mask
 evaluation computes. Pairs are compared by chunked numpy brute force; when
 a directed distance needs more than ``BRUTE_MAX_PAIRS`` of them (a badly
-wrong segmentation), a KD-tree over the boundary answers it instead.
+wrong segmentation), a KD-tree over the boundary answers it instead; only
+then is ``scipy.spatial`` imported.
 ``method="brute"`` evaluates all voxels of both masks, the reference the
 default is checked against.
 """
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
-from scipy import ndimage
 
+from .kernels import erode
 from .volume import ACDC_SCHEMA, LabelVolume
 
 # Above this many (A \ B, boundary of B) pairs a directed distance comes
@@ -164,8 +165,8 @@ def _directed_to_boundary(a_only, b, spacing, offset) -> float:
     """Directed distance from the voxels of A \\ B to B, over B's boundary."""
     if not a_only.any():
         return 0.0
-    # the array border counts as outside: binary_erosion's border_value is 0
-    inner = ndimage.binary_erosion(b, ndimage.generate_binary_structure(b.ndim, 1))
+    # the array border counts as outside: erosion's border_value is 0
+    inner = erode(b, square=False, axes=range(b.ndim))
     pa = _coords_mm(a_only, spacing, offset)
     pb = _coords_mm(b & ~inner, spacing, offset)
     if pa.shape[0] * pb.shape[0] > BRUTE_MAX_PAIRS:

@@ -13,17 +13,12 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-from scipy import ndimage
 
+from .kernels import label
 from .roi import nonzero_window
 from .volume import LabelVolume
 
-_STRUCTURES = {
-    (2, 4): ndimage.generate_binary_structure(2, 1),
-    (2, 8): ndimage.generate_binary_structure(2, 2),
-    (3, 6): ndimage.generate_binary_structure(3, 1),
-    (3, 26): ndimage.generate_binary_structure(3, 3),
-}
+_CONNECTIVITIES = {2: (4, 8), 3: (6, 26)}
 
 
 @dataclass
@@ -36,13 +31,12 @@ class ComponentLabeling:
         return len(self.sizes)
 
 
-def _structure(ndim: int, connectivity: int) -> np.ndarray:
-    try:
-        return _STRUCTURES[(ndim, connectivity)]
-    except KeyError:
+def _labelled(mask: np.ndarray, connectivity: int) -> tuple:
+    if connectivity not in _CONNECTIVITIES.get(mask.ndim, ()):
         raise ValueError(
-            f"connectivity {connectivity} is not valid for {ndim}D masks"
-        ) from None
+            f"connectivity {connectivity} is not valid for {mask.ndim}D masks"
+        )
+    return label(mask, connectivity)
 
 
 def connected_components(mask: np.ndarray, connectivity: int) -> ComponentLabeling:
@@ -51,58 +45,40 @@ def connected_components(mask: np.ndarray, connectivity: int) -> ComponentLabeli
     Valid connectivities: 4/8 for 2D masks, 6/26 for 3D.
     """
     mask = np.asarray(mask).astype(bool)
-    raw, n = ndimage.label(mask, structure=_structure(mask.ndim, connectivity))
-    if n == 0:
-        return ComponentLabeling(labels=raw.astype(np.int32), sizes=[])
-    # Renumber so component ids are ordered by first raster occurrence,
-    # independent of how the labeling engine assigned them.
-    flat = raw.ravel()
-    first = np.full(n + 1, flat.size, dtype=np.int64)
-    nz = np.flatnonzero(flat)
-    # reversed so earlier indices overwrite later ones
-    first[flat[nz[::-1]]] = nz[::-1]
-    order = np.argsort(first[1:], kind="stable")
-    remap = np.zeros(n + 1, dtype=np.int32)
-    remap[order + 1] = np.arange(1, n + 1)
-    labels = remap[raw]
+    labels, n = _labelled(mask, connectivity)
     counts = np.bincount(labels.ravel(), minlength=n + 1)
-    sizes = [(i, int(counts[i])) for i in range(1, n + 1)]
-    return ComponentLabeling(labels=labels, sizes=sizes)
+    return ComponentLabeling(labels=labels, sizes=[(i, int(counts[i])) for i in range(1, n + 1)])
 
 
 def keep_largest(mask: np.ndarray, connectivity: int) -> np.ndarray:
     """Keep only the largest component; ties keep the earliest raster one.
 
-    Components are counted as labeled, without renumbering; only a tie for
-    largest looks for the id whose first voxel comes first in C order.
+    Components are numbered in the C order of their first voxel, so the
+    first id of the largest size is the earliest.
     """
     mask = np.asarray(mask).astype(bool)
-    structure = _structure(mask.ndim, connectivity)
     out = np.zeros(mask.shape, dtype=bool)
     # every component lies in the bounding box, and translation keeps the
     # C order of first voxels
     win = nonzero_window(mask, 0)
-    raw, n = ndimage.label(mask[win], structure=structure)
+    labels, n = _labelled(mask[win], connectivity)
     if n == 0:
         return out
-    sizes = np.bincount(raw.ravel(order="K"), minlength=n + 1)[1:]
-    tied = np.flatnonzero(sizes == sizes.max()) + 1
-    best_id = tied[0]
-    if tied.size > 1:
-        flat = raw.ravel()
-        best_id = flat[np.argmax(np.isin(flat, tied))]
-    out[win] = raw == best_id
+    sizes = np.bincount(labels.ravel(), minlength=n + 1)
+    sizes[0] = 0
+    out[win] = labels == np.argmax(sizes)
     return out
 
 
 def _holes(background: np.ndarray) -> tuple:
-    """4-connected components of a 2D background mask and which are holes.
+    """4-connected components of the background of each slice and which are holes.
 
-    Returns ``(labels, enclosed)``: ``enclosed[i]`` is True when component
-    ``i`` does not touch the slice border (``enclosed[0]``, the foreground,
-    is False).
+    ``background`` is a 2D slice or an ``(nx, ny, nz)`` stack. Returns
+    ``(labels, enclosed)``: ``enclosed[i]`` is True when component ``i``
+    does not touch its slice's border (``enclosed[0]``, the foreground, is
+    False).
     """
-    labels, n = ndimage.label(background, structure=_STRUCTURES[(2, 4)])
+    labels, n = label(background, 4)
     enclosed = np.arange(n + 1) > 0
     if n:
         for edge in (labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]):
@@ -111,10 +87,11 @@ def _holes(background: np.ndarray) -> tuple:
 
 
 def fill_holes(mask: np.ndarray) -> np.ndarray:
-    """Fill 2D background regions not 4-connected to the slice border."""
+    """Fill background regions not 4-connected to the slice border, in a 2D
+    mask or in each slice of an ``(nx, ny, nz)`` stack."""
     mask = np.asarray(mask).astype(bool)
-    if mask.ndim != 2:
-        raise ValueError("fill_holes expects a 2D mask")
+    if mask.ndim not in (2, 3):
+        raise ValueError("fill_holes expects a 2D mask or a stack of them")
     labels, enclosed = _holes(~mask)
     return mask | enclosed[labels]
 
@@ -122,28 +99,39 @@ def fill_holes(mask: np.ndarray) -> np.ndarray:
 def _fill_holes_class_aware(lbl: np.ndarray, priority) -> np.ndarray:
     """Assign enclosed background regions the highest-priority adjacent class.
 
-    Holes are filled one by one; the order cannot matter, because a ring
-    voxel of one hole lying in another would make the two 4-adjacent.
+    ``lbl`` is a 2D slice or an ``(nx, ny, nz)`` stack filled slice by slice.
+    A hole's ring (its 4-neighbours outside it) holds no background, since
+    a background neighbour would belong to the same region; so each hole
+    takes the first class of ``priority`` among the labels 4-adjacent to it,
+    all holes at once. Holes cannot interact: a ring voxel of one hole lying
+    in another would make the two 4-adjacent.
 
-    The work runs on the non-zero box grown by one pixel. Each border row
-    or column of that window is either the slice border or all background
-    and joined to the slice border outside the box, so a background region
-    is enclosed in the window exactly when it is enclosed in the slice, and
-    every hole's ring lies inside the window.
+    The work runs on the non-zero box of all slices grown by one pixel. Each
+    border row or column of that window is either the slice border or all
+    background and joined to the slice border outside the box, so a
+    background region is enclosed in the window exactly when it is enclosed
+    in the slice, and every hole's ring lies inside the window.
     """
-    out = lbl.copy()
+    out = lbl.copy(order="K")  # in the caller's layout, as a volume's file order
     if not out.any():
         return out
     win = out[nonzero_window(out, 1)]  # a view: filling it fills ``out``
-    labels, enclosed = _holes(win == 0)
-    for hole_id in np.flatnonzero(enclosed):
-        hole = labels == hole_id
-        ring = ndimage.binary_dilation(hole, structure=_STRUCTURES[(2, 4)]) & ~hole
-        adjacent = set(int(v) for v in np.unique(win[ring]) if v > 0)
-        for cls in priority:
-            if cls in adjacent:
-                win[hole] = cls
-                break
+    holes, enclosed = _holes(win == 0)
+    if not enclosed.any():
+        return out
+    hole_ids, neighbours = [], []
+    # each voxel against its 4-neighbour above, below, left and right
+    for ids, beside in ((holes[1:], win[:-1]), (holes[:-1], win[1:]),
+                        (holes[:, 1:], win[:, :-1]), (holes[:, :-1], win[:, 1:])):
+        in_hole = enclosed[ids]
+        hole_ids.append(ids[in_hole])
+        neighbours.append(beside[in_hole])
+    hole_ids, neighbours = np.concatenate(hole_ids), np.concatenate(neighbours)
+    fill = np.zeros(enclosed.size, dtype=out.dtype)
+    for cls in reversed(list(priority)):  # the first class of priority writes last
+        fill[hole_ids[neighbours == cls]] = cls
+    filled = fill[holes]
+    win[filled > 0] = filled[filled > 0]
     return out
 
 
@@ -201,8 +189,7 @@ def postprocess_labels(
                         repeat = not skip_3d
 
     if not skip_fill:
-        for z in range(data.shape[2]):
-            data[:, :, z] = _fill_holes_class_aware(data[:, :, z], ordered)
+        data = _fill_holes_class_aware(data, ordered)
 
     if squeeze_2d:
         data = data[:, :, 0]

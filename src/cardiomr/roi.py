@@ -14,8 +14,8 @@ from functools import lru_cache
 from typing import List
 
 import numpy as np
-from scipy import fft, ndimage
 
+from . import kernels
 from .volume import ScalarVolume
 
 
@@ -56,6 +56,7 @@ class H1Volume:
 
     magnitudes: np.ndarray  # (nx, ny, nz), >= 0
     spacing: tuple = (1.0, 1.0, 1.0)
+    cine_peak: float = 0.0  # peak |value| of the cine it came from; 0 if unknown
 
     def __post_init__(self):
         m = np.asarray(self.magnitudes, dtype=np.float64)
@@ -86,7 +87,8 @@ def temporal_h1(v: ScalarVolume) -> H1Volume:
     Bin 1 is computed in float64 one z-slice at a time, so the extra memory
     is one complex slice, never a float64 or complex copy of the whole cine.
     Each voxel's sum runs over the same frames in the same order as a
-    whole-volume product, so the values are bitwise equal to it.
+    whole-volume product, so the values are bitwise equal to it. The peak
+    |value| of the cine is taken on the way, as each slab is read.
     """
     nx, ny, nz, nt = v.dims
     if nt < 2:
@@ -97,11 +99,14 @@ def temporal_h1(v: ScalarVolume) -> H1Volume:
     # (y, x, t) order reads the x-fastest file layout sequentially; each
     # voxel's row is summed on its own, so the row order does not matter
     slab = np.zeros((ny, nx, nt), dtype=np.complex128)
+    peak = 0.0
     for z in range(nz):
-        slab.real = v.data[:, :, z, :].transpose(1, 0, 2)
+        frames = v.data[:, :, z, :]
+        slab.real = frames.transpose(1, 0, 2)
+        peak = max(peak, float(frames.max(initial=-np.inf)), -float(frames.min(initial=np.inf)))
         bin1 = slab.reshape(ny * nx, nt) @ phase
         magnitudes[:, :, z] = np.abs(bin1).reshape(ny, nx).T
-    return H1Volume(magnitudes=magnitudes, spacing=v.spacing[:3])
+    return H1Volume(magnitudes=magnitudes, spacing=v.spacing[:3], cine_peak=peak)
 
 
 def denoise_h1(h: H1Volume, frac: float) -> H1Volume:
@@ -124,7 +129,7 @@ _NMS_OFFSETS = np.array(
 def canny_reach(sigma: float) -> int:
     """How far outside an image's non-zero support ``canny_edges`` can see it.
 
-    ``int(4 * sigma + 0.5)`` is the radius of scipy's Gaussian (truncate=4);
+    ``int(4 * sigma + 0.5)`` is the radius of the Gaussian (truncate=4);
     Sobel reads one pixel further and non-maximum suppression one more.
     Run on a window whose margin around the support is at least this reach,
     ``canny_edges`` gives the same bits as on the whole image: the window's
@@ -159,48 +164,60 @@ def nonzero_window(mask: np.ndarray, margin: int) -> tuple:
 def canny_edges(image: np.ndarray, sigma: float, low: float, high: float) -> np.ndarray:
     """Canny edge detection; thresholds are fractions of the gradient maximum.
 
+    ``image`` is a 2D slice or an ``(nx, ny, nz)`` stack, whose slices are
+    detected each on its own, against its own gradient maximum.
     Non-maximum suppression keeps the pixel on the brighter side of a
     symmetric edge (strict comparison toward the gradient direction,
     non-strict against it), so edges of binary masks land inside the mask.
+    Only a pixel above the low threshold can be an edge, so suppression
+    runs on those pixels alone. Hysteresis keeps the 8-connected groups of
+    surviving pixels that hold one above the high threshold.
     """
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError("canny_edges expects a 2D image")
+    if img.ndim not in (2, 3):
+        raise ValueError("canny_edges expects a 2D image or a stack of them")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if not (0 <= low <= high <= 1):
         raise ValueError("need 0 <= low <= high <= 1")
-
-    smooth = ndimage.gaussian_filter(img, sigma, mode="nearest")
-    gx = ndimage.sobel(smooth, axis=0, mode="nearest")
-    gy = ndimage.sobel(smooth, axis=1, mode="nearest")
-    gmag = np.hypot(gx, gy)
-    gmax = gmag.max(initial=0.0)
-    if gmax <= 0:
+    if img.size == 0:
         return np.zeros(img.shape, dtype=bool)
 
-    octant = np.round(np.arctan2(gy, gx) / (np.pi / 4)).astype(int) % 8
-    off = _NMS_OFFSETS[octant]  # (nx, ny, 2)
+    smooth = kernels.gaussian(img, sigma)
+    gx = kernels.sobel(smooth, 0).ravel()
+    gy = kernels.sobel(smooth, 1).ravel()
+    gmag = np.hypot(gx, gy).reshape(img.shape[:2] + (-1,))
+    nx, ny, nz = gmag.shape
+    gmax = gmag.max(axis=(0, 1), initial=0.0)
+    at = np.flatnonzero(gmag > low * gmax)  # the pixels that can be edges
+    z = at % nz
+    g = gmag.ravel()[at]
 
-    padded = np.pad(gmag, 1, mode="constant")
-    xs, ys = np.meshgrid(
-        np.arange(img.shape[0]), np.arange(img.shape[1]), indexing="ij"
-    )
-    fwd = padded[xs + 1 + off[..., 0], ys + 1 + off[..., 1]]
-    bwd = padded[xs + 1 - off[..., 0], ys + 1 - off[..., 1]]
+    octant = np.round(np.arctan2(gy[at], gx[at]) / (np.pi / 4)).astype(int) % 8
+    # from here ``at`` indexes the magnitudes zero-padded in plane, and
+    # ``steps`` are the flat offsets of the eight neighbours there
+    padded = np.zeros((nx + 2, ny + 2, nz))
+    padded[1:-1, 1:-1] = gmag
+    padded = padded.ravel()
+    at = at + (2 * (at // (ny * nz)) + ny + 3) * nz
+    steps = (_NMS_OFFSETS * [(ny + 2) * nz, nz]).sum(axis=1)
     # Symmetric edges produce magnitude ties on both sides of the true
     # boundary; the tolerance makes the tie-break deterministic (exactly
     # one pixel of a tied plateau survives) instead of float-noise driven.
-    tol = 1e-9 * gmax
-    ridge = (gmag >= fwd - tol) & (gmag > bwd + tol)
+    tol = 1e-9 * gmax[z]
+    step = steps[octant]
+    ridge = (g >= padded[at + step] - tol) & (g > padded[at - step] + tol)
 
-    thinned = np.where(ridge, gmag, 0.0)
-    strong = thinned > high * gmax
-    weak = thinned > low * gmax
-    edges = ndimage.binary_dilation(
-        strong, structure=np.ones((3, 3), bool), iterations=0, mask=weak
-    )
-    return edges
+    # hysteresis: grow the strong pixels inside the weak ones to a fixpoint
+    state = np.zeros(padded.shape, dtype=np.int8)  # 1 weak, 2 kept
+    state[at[ridge]] = 1
+    front = at[ridge & (g > high * gmax[z])]
+    while front.size:
+        state[front] = 2
+        around = (front[:, None] + steps).ravel()
+        front = np.unique(around[state[around] == 1])
+    kept = state.reshape(nx + 2, ny + 2, nz)[1:-1, 1:-1] == 2
+    return kept.reshape(img.shape)
 
 
 def _ring_kernel(radius: int) -> np.ndarray:
@@ -225,7 +242,7 @@ def _ring_spectra(shape: tuple, radius_min: int, radius_max: int) -> np.ndarray:
         offsets = np.arange(-radius, radius + 1)
         wrapped = np.ix_(offsets % shape[0], offsets % shape[1])
         np.add.at(kernel, wrapped, _ring_kernel(radius))
-        spectra.append(fft.rfft2(kernel))
+        spectra.append(np.fft.rfft2(kernel))
     out = np.stack(spectra)
     out.setflags(write=False)
     return out
@@ -299,15 +316,15 @@ def hough_circles(edges: np.ndarray, cfg: RoiConfig) -> List[Circle]:
         return []
     nx, ny = edges.shape
     shape = tuple(
-        fft.next_fast_len(max(n - box.start, box.stop) + cfg.radius_max, real=True)
+        kernels.next_fast_len(max(n - box.start, box.stop) + cfg.radius_max)
         for n, box in zip(edges.shape, nonzero_window(edges, 0))
     )
-    spectrum = fft.rfft2(edges.astype(np.float64), s=shape)
+    spectrum = np.fft.rfft2(edges.astype(np.float64), s=shape)
     spectra = _ring_spectra(shape, cfg.radius_min, cfg.radius_max)
     votes = np.empty((len(spectra), min(nx, shape[0]), min(ny, shape[1])), dtype=np.int32)
     for plane, ring in zip(votes, spectra):
         # votes are integral counts; FFT noise rounds away
-        plane[...] = np.round(fft.irfft2(spectrum * ring, s=shape)[:nx, :ny])
+        plane[...] = np.round(np.fft.irfft2(spectrum * ring, s=shape)[:nx, :ny])
 
     peaks = votes.max(axis=(1, 2))
     kept: List[Circle] = []
@@ -353,7 +370,7 @@ def locate_roi(v: ScalarVolume, cfg: RoiConfig | None = None) -> HoughResult:
     h1 = temporal_h1(v)
     # a temporally constant voxel leaves ~1e-16 relative DFT residue; floor
     # it so static inputs read as signal-free instead of as faint circles
-    floor = 1e-12 * v.dims[3] * float(max(v.data.max(), -v.data.min()))
+    floor = 1e-12 * v.dims[3] * h1.cine_peak
     h1 = H1Volume(
         magnitudes=np.where(h1.magnitudes <= floor, 0.0, h1.magnitudes),
         spacing=h1.spacing,

@@ -198,6 +198,24 @@ class TestMwtOnTheRim:
                     entry = mwt_per_slice(sl, phase.spacing[:2])
                     assert np.allclose(entry.thickness_mm, rim_to_rim(sl, phase.spacing[:2]))
 
+    def test_a_stack_equals_its_slices(self):
+        # the stack shares one window and one pass of hole filling and rims;
+        # slices without myocardium or without a cavity give None. The data
+        # is x-fastest, as load_volume returns a file's
+        for ed, es, _ in disease_cohort(3, seed=12):
+            for phase in (ed, es):
+                data = np.asfortranarray(phase.data)
+                data[:, :, 0] = 0
+                data[:, :, -1][data[:, :, -1] == 3] = 2  # a solid wall: no cavity
+                got = mwt_per_slice(data, phase.spacing[:2])
+                assert got[0] is None and got[-1] is None
+                for z, entry in enumerate(got):
+                    want = mwt_per_slice(data[:, :, z], phase.spacing[:2])
+                    assert (entry is None) == (want is None)
+                    if entry is not None:
+                        assert entry.z == z
+                        assert np.array_equal(entry.thickness_mm, want.thickness_mm)
+
     def test_features_import_leaves_loss_out(self):
         import cardiomr
 

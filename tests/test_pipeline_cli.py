@@ -88,6 +88,22 @@ def test_pipeline_with_ground_truth_leaves_out_scipy_spatial(case, tmp_path):
     assert all(phase[name]["hd_mm"] > 0 for phase in metrics.values() for name in ("LV", "MYO"))
 
 
+def test_pipeline_with_model_and_ground_truth_leaves_out_scipy(case, tmp_path):
+    from cardiomr.diagnosis import Dataset, save_model, train_ensemble
+
+    rng = np.random.default_rng(0)
+    labels = np.repeat(["NOR", "MINF", "DCM"], 6)
+    X = rng.normal(size=(labels.size, len(FEATURE_NAMES))) + 3 * (labels == "DCM")[:, None]
+    save_model(train_ensemble(Dataset(X=X, y=labels), n_trees=5), tmp_path / "model.pkl")
+    argv = ["pipeline", "--input", str(case / "cine.vol"),
+            "--seg-ed", str(case / "ed.vol"), "--seg-es", str(case / "es.vol"),
+            "--gt-ed", str(case / "es.vol"), "--gt-es", str(case / "ed.vol"),
+            "--model", str(tmp_path / "model.pkl"), "--out-dir", str(tmp_path / "out")]
+    assert not _loaded_by_cli_import("scipy")
+    assert not _loaded_by_cli_import("scipy", argv)
+    assert "predict" in json.loads((tmp_path / "out" / "report.json").read_text())["stages"]
+
+
 class TestConfig:
     def test_defaults_present(self):
         cfg = PipelineConfig()

@@ -325,3 +325,14 @@ class TestTemporalH1Oracle:
         phase = np.exp(-2j * np.pi * np.arange(30) / 30)
         expected = np.abs(np.tensordot(cine.data.astype(np.float64), phase, axes=([3], [0])))
         assert np.array_equal(temporal_h1(cine).magnitudes, expected)
+
+
+def test_temporal_h1_records_the_cine_peak():
+    # the static-input floor of locate_roi scales with the peak |value|,
+    # taken as temporal_h1 reads each slab rather than in two more passes
+    data = np.zeros((5, 4, 3, 6), dtype=np.float32)
+    data[1, 2, 0, 3] = 2.5
+    data[4, 0, 2, 1] = -7.25
+    assert temporal_h1(ScalarVolume(data=data)).cine_peak == 7.25
+    assert temporal_h1(ScalarVolume(data=-data)).cine_peak == 7.25
+    assert temporal_h1(ScalarVolume(data=np.zeros((2, 2, 1, 4)))).cine_peak == 0.0
