@@ -28,7 +28,6 @@ from .diagnosis import (
 )
 from .features import FEATURE_NAMES, FeatureRecord, PhaseLabels, extract_features
 from .loss import dice_loss, weight_map_volume, weighted_ce
-from .netgraph import NetConfig, build_graph, summarize, to_dot
 from .pipeline import PipelineConfig, PipelineError, dumps_report, roi_stage, run_pipeline
 from .postprocess import postprocess_labels
 from .volume import LabelVolume, ScalarVolume, load_volume, save_volume
@@ -266,6 +265,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_netinfo(args) -> int:
+    from .netgraph import NetConfig, build_graph, summarize, to_dot  # this command only
+
     try:
         c, h, w = (int(v) for v in args.input.split("x"))
     except ValueError:

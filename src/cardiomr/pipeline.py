@@ -160,13 +160,17 @@ def parse_config_file(path) -> dict:
 def probs_to_labels(prob_volume: ScalarVolume) -> LabelVolume:
     """Argmax a per-class probability volume (class on the t axis).
 
-    Raises ValueError when any probability is NaN, whose class argmax
-    would otherwise pick.
+    The labels keep the probabilities' memory order, so labels argmaxed
+    from a loaded file have the layout of a loaded label file. Raises
+    ValueError when any probability is NaN, whose class argmax would
+    otherwise pick.
     """
-    if np.isnan(prob_volume.data).any():
+    probs = prob_volume.data
+    if np.isnan(probs).any():
         raise ValueError("probability volume contains NaN")
-    data = np.argmax(prob_volume.data, axis=3).astype(np.uint8)
-    return LabelVolume(data=data, spacing=prob_volume.spacing[:3])
+    order = "F" if probs.flags.f_contiguous else "C"
+    data = np.argmax(probs, axis=3).astype(np.uint8, order=order)
+    return LabelVolume(data=data, spacing=prob_volume.spacing[:3], _owned=True)
 
 
 def roi_stage(cine_path, cfg: RoiConfig, patch_path=None) -> dict:
@@ -187,7 +191,8 @@ def roi_stage(cine_path, cfg: RoiConfig, patch_path=None) -> dict:
     entry["center"] = list(center)
     patch = crop_patch(cine, center, cfg.patch_size)
     if patch_path is not None:
-        save_volume(ScalarVolume(data=patch.data, spacing=cine.spacing), patch_path)
+        save_volume(ScalarVolume(data=patch.data, spacing=cine.spacing, _owned=True),
+                    patch_path)
     return entry
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .kernels import label
 from .roi import nonzero_window
-from .volume import LabelVolume
+from .volume import LabelVolume, present_ids
 
 _CONNECTIVITIES = {2: (4, 8), 3: (6, 26)}
 
@@ -159,7 +159,7 @@ def postprocess_labels(
     if data.ndim != 3:
         raise ValueError("postprocess_labels expects 2D or 3D labels")
 
-    ordered = [int(v) for v in np.unique(data) if v > 0][::-1]
+    ordered = [int(v) for v in present_ids(data) if v > 0][::-1]
 
     # The slice-wise pass can disconnect the surviving 3D component, so the
     # two passes repeat until stable; removals are monotone, so this

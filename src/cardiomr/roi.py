@@ -81,14 +81,24 @@ class HoughResult:
     roi_center: tuple  # (x, y)
 
 
+# Complex elements per block of temporal_h1, under the 4096 from which
+# OpenBLAS splits a zgemv over threads: the thousands of small products then
+# pay no thread hand-off, which on a busy host can wait a scheduler slice
+# each (with both cores busy, 4096-row blocks made a fresh temporal_h1
+# about 6x slower than these; with idle cores, no faster).
+_H1_BLOCK = 4095
+
+
 def temporal_h1(v: ScalarVolume) -> H1Volume:
     """Magnitude of DFT bin 1 along the time axis, per voxel (phase discarded).
 
-    Bin 1 is computed in float64 one z-slice at a time, so the extra memory
-    is one complex slice, never a float64 or complex copy of the whole cine.
-    Each voxel's sum runs over the same frames in the same order as a
-    whole-volume product, so the values are bitwise equal to it. The peak
-    |value| of the cine is taken on the way, as each slab is read.
+    Bin 1 is computed in float64, one z-slice at a time and within it one
+    block of voxels at a time, so the extra memory is one reused complex
+    block of ``_H1_BLOCK`` elements, never a float64 or complex copy of a
+    slice or of the cine. Each voxel's sum runs over the same frames in the
+    same order as a whole-volume product, so the values are bitwise equal
+    to it. The peak |value| of the cine is taken on the way, as each slice
+    is read.
     """
     nx, ny, nz, nt = v.dims
     if nt < 2:
@@ -96,16 +106,23 @@ def temporal_h1(v: ScalarVolume) -> H1Volume:
     t = np.arange(nt)
     phase = np.exp(-2j * np.pi * t / nt)
     magnitudes = np.empty((nx, ny, nz))
-    # (y, x, t) order reads the x-fastest file layout sequentially; each
-    # voxel's row is summed on its own, so the row order does not matter
-    slab = np.zeros((ny, nx, nt), dtype=np.complex128)
+    n = nx * ny
+    # numpy takes a one-row product to a dot, whose sums differ in the last
+    # bit; so a block has two rows or more, unless the slice has one voxel
+    block = np.zeros((min(max(_H1_BLOCK // nt, 2), n), nt), dtype=np.complex128)
+    bin1 = np.empty(n)
     peak = 0.0
     for z in range(nz):
         frames = v.data[:, :, z, :]
-        slab.real = frames.transpose(1, 0, 2)
         peak = max(peak, float(frames.max(initial=-np.inf)), -float(frames.min(initial=np.inf)))
-        bin1 = slab.reshape(ny * nx, nt) @ phase
-        magnitudes[:, :, z] = np.abs(bin1).reshape(ny, nx).T
+        # (voxel, t) rows in x-fastest voxel order, a view of an x-fastest
+        # cine; each row is summed on its own, so the blocking is invisible
+        rows = frames.reshape(n, nt, order="F")
+        for start in range(0, n, max(len(block), 1)):
+            start = min(start, n - len(block))  # the last block overlaps the one before
+            block.real = rows[start:start + len(block)]
+            np.abs(block @ phase, out=bin1[start:start + len(block)])
+        magnitudes[:, :, z] = bin1.reshape(ny, nx).T
     return H1Volume(magnitudes=magnitudes, spacing=v.spacing[:3], cine_peak=peak)
 
 
@@ -215,7 +232,8 @@ def canny_edges(image: np.ndarray, sigma: float, low: float, high: float) -> np.
     while front.size:
         state[front] = 2
         around = (front[:, None] + steps).ravel()
-        front = np.unique(around[state[around] == 1])
+        front = np.sort(around[state[around] == 1])
+        front = front[np.diff(front, prepend=-1) != 0]  # np.unique, without numpy.ma
     kept = state.reshape(nx + 2, ny + 2, nz)[1:-1, 1:-1] == 2
     return kept.reshape(img.shape)
 

@@ -11,7 +11,8 @@ at flat index ``x + nx*(y + ny*(z + nz*t))``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,12 +67,34 @@ class LabelSchema:
 ACDC_SCHEMA = LabelSchema()
 
 
-def _locked(arr: np.ndarray, source) -> np.ndarray:
-    """Read-only `arr`, copied first only if it shares memory with `source`."""
-    if np.may_share_memory(arr, source):
+def _locked(arr: np.ndarray, source, owned: bool) -> np.ndarray:
+    """Read-only `arr`, copied first if it shares memory with `source`,
+    unless the caller handed `source` over (`owned`)."""
+    if not owned and np.may_share_memory(arr, source):
         arr = arr.copy(order="K")  # keep the memory order: files load F-contiguous
     arr.setflags(write=False)
     return arr
+
+
+def _all_finite(data: np.ndarray) -> bool:
+    """``np.isfinite(data).all()``, one slab of the outermost memory axis at
+    a time (a frame of an x-fastest cine), so the temporary is one slab."""
+    slabs = data.T if data.flags.f_contiguous else data
+    return all(np.isfinite(slab).all() for slab in slabs)
+
+
+def present_ids(data: np.ndarray) -> np.ndarray:
+    """The distinct values of a label array, ascending, as ``np.unique``.
+
+    A uint8 array is scattered into a 256-entry table instead: no temporary
+    of its size, and no ``np.unique``, whose first call in a process
+    imports ``numpy.ma`` (numpy 2.4).
+    """
+    if data.dtype != np.uint8:
+        return np.unique(data)
+    seen = np.zeros(256, dtype=bool)
+    seen[data] = True
+    return np.flatnonzero(seen)
 
 
 @dataclass(frozen=True)
@@ -80,26 +103,30 @@ class ScalarVolume:
 
     float32 data is held as float32, in the caller's memory order; any other
     dtype is cast to float64. Consumers compute in float64 at the point of
-    use. The caller's array is copied at most once: the float64 cast is the
+    use. A caller's array is copied at most once: the float64 cast is the
     copy when it has to convert, and otherwise one explicit copy is made, so
-    the volume never aliases the caller's memory.
+    the volume never aliases the caller's memory. A file load is not copied
+    at all: ``load_volume`` reads the payload into a fresh array and hands
+    it over with ``_owned=True``, and the volume keeps that array, made
+    read-only. ``_owned`` is for such arrays, which nothing else refers to.
     """
 
     data: np.ndarray
     spacing: tuple = (1.0, 1.0, 1.0, 1.0)
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
         data = np.asarray(self.data)
         if data.dtype != np.float32:
             data = np.asarray(data, dtype=np.float64)
         if data.ndim != 4:
             raise ValueError(f"scalar volume must be 4D, got {data.ndim}D")
-        if not np.all(np.isfinite(data)):
+        if not _all_finite(data):
             raise ValueError("scalar volume contains non-finite values")
         spacing = tuple(float(s) for s in self.spacing)
         if len(spacing) != 4 or any(not 0 < s < math.inf for s in spacing):
             raise ValueError(f"spacing must be 4 positive finite reals, got {self.spacing}")
-        object.__setattr__(self, "data", _locked(data, self.data))
+        object.__setattr__(self, "data", _locked(data, self.data, _owned))
         object.__setattr__(self, "spacing", spacing)
 
     @property
@@ -110,17 +137,18 @@ class ScalarVolume:
 @dataclass(frozen=True)
 class LabelVolume:
     """Immutable 3D/4D integer label grid whose values are ids of
-    :data:`ACDC_SCHEMA`."""
+    :data:`ACDC_SCHEMA`. Held as uint8; the caller's array is copied once,
+    unless handed over with ``_owned=True`` as in :class:`ScalarVolume`."""
 
     data: np.ndarray
     spacing: tuple = (1.0, 1.0, 1.0)
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
         data = np.asarray(self.data)
         if data.ndim not in (3, 4):
             raise ValueError(f"label volume must be 3D or 4D, got {data.ndim}D")
-        present = np.unique(data)
-        bad = [int(v) for v in present if int(v) not in ACDC_SCHEMA.ids]
+        bad = [int(v) for v in present_ids(data) if int(v) not in ACDC_SCHEMA.ids]
         if bad:
             raise ValueError(f"labels {bad} are not in the schema {ACDC_SCHEMA.ids}")
         spacing = tuple(float(s) for s in self.spacing)
@@ -128,7 +156,8 @@ class LabelVolume:
             raise ValueError(
                 f"spacing must be {data.ndim} positive finite reals, got {self.spacing}"
             )
-        object.__setattr__(self, "data", _locked(data.astype(np.uint8), self.data))
+        data = data.astype(np.uint8, copy=False)
+        object.__setattr__(self, "data", _locked(data, self.data, _owned))
         object.__setattr__(self, "spacing", spacing)
 
     @property
@@ -153,13 +182,27 @@ class Patch:
             raise ValueError("patch size must be positive")
 
 
-def _parse_header(raw: bytes, path):
-    """Split raw file content into parsed header fields and the payload."""
-    sep = raw.find(b"\n\n")
-    if sep < 0:
-        raise VolumeFormatError(f"{path}: missing blank line terminating the header")
-    header_text = raw[:sep].decode("ascii", errors="replace")
-    payload = memoryview(raw)[sep + 2:]  # a view: slicing bytes would copy the payload
+# Bytes read at a time while looking for the blank line that ends a header.
+_HEADER_BLOCK = 4096
+
+
+def _read_header(fh, path) -> tuple:
+    """Read a file up to the blank line that ends its header, a block at a
+    time; returns the bytes read and the offset of that blank line."""
+    head = bytearray(fh.read(_HEADER_BLOCK))
+    sep = head.find(b"\n\n")
+    while sep < 0:
+        block = fh.read(_HEADER_BLOCK)
+        if not block:
+            raise VolumeFormatError(f"{path}: missing blank line terminating the header")
+        head += block
+        sep = head.find(b"\n\n", len(head) - len(block) - 1)
+    return head, sep
+
+
+def _parse_header(header, path):
+    """Parse header text (without its blank line) into dims, spacing and type."""
+    header_text = header.decode("ascii", errors="replace")
 
     fields = {}
     order = []
@@ -216,7 +259,7 @@ def _parse_header(raw: bytes, path):
         raise VolumeFormatError(
             f"{path}: ElementDataFile must be LOCAL, got {fields['ElementDataFile']!r}"
         )
-    return dims, spacing, etype, payload
+    return dims, spacing, etype
 
 
 def load_volume(path, kind: str):
@@ -224,32 +267,44 @@ def load_volume(path, kind: str):
 
     ``kind`` selects the returned type: "scalar" requires FLOAT32 payload
     (3D files gain a singleton t axis), "label" requires UINT8.
+    The header is checked, and the file size against its DimSize, before
+    the payload is read once, straight into the array the volume keeps.
     """
     if kind not in ("scalar", "label"):
         raise ValueError(f"kind must be 'scalar' or 'label', got {kind!r}")
     path = Path(path)
-    raw = path.read_bytes()
-    dims, spacing, etype, payload = _parse_header(raw, path)
+    with open(path, "rb") as fh:
+        head, sep = _read_header(fh, path)
+        dims, spacing, etype = _parse_header(head[:sep], path)
 
-    dtype = _ELEMENT_TYPES[etype]
-    expected = math.prod(dims) * dtype.itemsize  # Python ints: no int64 wrap-around
-    if len(payload) != expected:
-        raise VolumeSizeError(
-            f"{path}: payload holds {len(payload)} bytes, expected {expected}"
-            f" for DimSize {' '.join(str(d) for d in dims)} ({etype})"
-        )
-    data = np.frombuffer(payload, dtype=dtype).reshape(dims, order="F")
-
-    if kind == "scalar":
-        if etype != "FLOAT32":
+        dtype = _ELEMENT_TYPES[etype]
+        expected = math.prod(dims) * dtype.itemsize  # Python ints: no int64 wrap-around
+        size = os.fstat(fh.fileno()).st_size - (sep + 2)
+        if size != expected:
+            raise VolumeSizeError(
+                f"{path}: payload holds {size} bytes, expected {expected}"
+                f" for DimSize {' '.join(str(d) for d in dims)} ({etype})"
+            )
+        if kind == "scalar" and etype != "FLOAT32":
             raise VolumeFormatError(f"{path}: ElementType must be FLOAT32 for scalar volumes")
-        if data.ndim == 3:
-            data = data[:, :, :, np.newaxis]
-            spacing = spacing + (1.0,)
-        return ScalarVolume(data=data, spacing=spacing)
-    if etype != "UINT8":
-        raise VolumeFormatError(f"{path}: ElementType must be UINT8 for label volumes")
-    return LabelVolume(data=data, spacing=spacing)
+        if kind == "label" and etype != "UINT8":
+            raise VolumeFormatError(f"{path}: ElementType must be UINT8 for label volumes")
+
+        flat = np.empty(math.prod(dims), dtype=dtype)
+        buf = memoryview(flat).cast("B")
+        started = len(head) - (sep + 2)  # payload bytes read with the header
+        buf[:started] = head[sep + 2:]
+        got = started + fh.readinto(buf[started:])
+        if got != expected:  # the file shrank after its size was taken
+            raise VolumeSizeError(f"{path}: payload holds {got} bytes, expected {expected}")
+    data = flat.reshape(dims, order="F")
+
+    if kind == "label":
+        return LabelVolume(data=data, spacing=spacing, _owned=True)
+    if data.ndim == 3:
+        data = data[:, :, :, np.newaxis]
+        spacing = spacing + (1.0,)
+    return ScalarVolume(data=data, spacing=spacing, _owned=True)
 
 
 def save_volume(vol, path) -> None:

@@ -20,7 +20,8 @@ from cardiomr.phantoms import heart_label_volume, pulsating_disk_cine
 from cardiomr.volume import save_volume
 
 # Runs ARGV through cli.main with every scipy import failing, then prints
-# the scipy modules loaded (none, unless the finder was bypassed).
+# whether numpy.ma was loaded and, last, the scipy modules loaded (none,
+# unless the finder was bypassed).
 WITHOUT_SCIPY = """
 import sys
 
@@ -34,6 +35,7 @@ sys.meta_path.insert(0, NoScipy())
 from cardiomr.cli import main
 for argv in ARGV:
     assert main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
@@ -87,6 +89,18 @@ def test_pipeline_path_commands_run_without_scipy(case, tmp_path):
     assert all(p[name]["hd_mm"] > 0 for p in report["stages"]["metrics"].values()
                for name in ("LV", "MYO"))
     assert "c0" in json.loads((tmp_path / "predict.json").read_text())
+
+
+def test_pipeline_leaves_out_numpy_ma(case, tmp_path):
+    # numpy 2.4's first np.unique call of a process imports numpy.ma (~14 ms)
+    c = str(case)
+    argv = ["pipeline", "--input", f"{c}/cine.vol", "--seg-ed", f"{c}/ed.vol",
+            "--seg-es", f"{c}/es.vol", "--gt-ed", f"{c}/es.vol", "--gt-es", f"{c}/ed.vol",
+            "--model", f"{c}/model.pkl", "--out-dir", str(tmp_path / "run")]
+    proc = run_without_scipy([argv])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-2:] == ["False", "[]"]
+    assert "predict" in json.loads((tmp_path / "run" / "report.json").read_text())["stages"]
 
 
 def test_augment_needs_scipy(case, tmp_path):

@@ -76,6 +76,10 @@ def test_cli_import_leaves_out_scipy_spatial():
     assert not _loaded_by_cli_import("scipy.spatial")
 
 
+def test_cli_import_leaves_out_netgraph():
+    assert not _loaded_by_cli_import("cardiomr.netgraph")
+
+
 def test_pipeline_with_ground_truth_leaves_out_scipy_spatial(case, tmp_path):
     # the ground truths are swapped, so the LV and MYO distances are non-zero
     out = tmp_path / "out"
@@ -188,6 +192,20 @@ class TestProbsToLabels:
         lbl = probs_to_labels(vol)
         assert lbl.data[0, 0, 0] == 1
         assert lbl.data[2, 2, 0] == 3
+
+    def test_labels_of_a_loaded_volume_have_the_loaded_layout(self, tmp_path):
+        # metrics.confusion is ~10x slower on labels of mixed layouts
+        rng = np.random.default_rng(3)
+        probs = rng.random((6, 5, 3, 4)).astype(np.float32)
+        save_volume(ScalarVolume(data=probs), tmp_path / "probs.vol")
+        save_volume(LabelVolume(data=probs.argmax(axis=3).astype(np.uint8)),
+                    tmp_path / "labels.vol")
+        gt = load_volume(tmp_path / "labels.vol", "label").data
+        labels = probs_to_labels(load_volume(tmp_path / "probs.vol", "scalar")).data
+        assert np.array_equal(labels, gt)
+        assert gt.flags.f_contiguous and labels.flags.f_contiguous
+        in_memory = probs_to_labels(ScalarVolume(data=probs)).data
+        assert np.array_equal(in_memory, gt) and in_memory.flags.c_contiguous
 
     def test_nan_rejected(self):
         # ScalarVolume itself refuses non-finite data, so the NaN arrives

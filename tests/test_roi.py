@@ -336,3 +336,25 @@ def test_temporal_h1_records_the_cine_peak():
     assert temporal_h1(ScalarVolume(data=data)).cine_peak == 7.25
     assert temporal_h1(ScalarVolume(data=-data)).cine_peak == 7.25
     assert temporal_h1(ScalarVolume(data=np.zeros((2, 2, 1, 4)))).cine_peak == 0.0
+
+
+class TestTemporalH1Blocks:
+    @pytest.mark.parametrize("block", [None, 1, 2 * 4096 * 30])
+    @pytest.mark.parametrize("via_file", [True, False])
+    def test_equal_to_the_whole_slice_product(self, block, via_file, tmp_path, monkeypatch):
+        # 67 * 65 = 4355 voxel rows: blocks of 136 rows, the last one
+        # overlapping; blocks of two rows (the fewest); or one block
+        if block is not None:
+            monkeypatch.setattr(roi_mod, "_H1_BLOCK", block)
+        rng = np.random.default_rng(8)
+        cine = ScalarVolume(data=(100 * rng.random((67, 65, 2, 30))).astype(np.float32))
+        if via_file:
+            save_volume(cine, tmp_path / "cine.vol")
+            cine = load_volume(tmp_path / "cine.vol", "scalar")
+        phase = np.exp(-2j * np.pi * np.arange(30) / 30)
+        expected = np.empty((67, 65, 2))
+        for z in range(2):
+            rows = np.zeros((65, 67, 30), dtype=np.complex128)
+            rows.real = cine.data[:, :, z, :].transpose(1, 0, 2)
+            expected[:, :, z] = np.abs(rows.reshape(-1, 30) @ phase).reshape(65, 67).T
+        assert np.array_equal(temporal_h1(cine).magnitudes, expected)

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from cardiomr.volume import (
     load_volume,
     normalize_slicewise,
     pad_or_center_crop,
+    present_ids,
     save_volume,
 )
 
@@ -457,3 +460,70 @@ class TestPadOrCenterCrop:
         big = pad_or_center_crop(vol, (20, 23))
         back = pad_or_center_crop(big, (9, 11))
         assert np.array_equal(back.data, vol.data)
+
+
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes, of calling ``fn``, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestLoadMemory:
+    # ~1 MB payloads: the label check's index buffer is a fixed 64 KiB
+    @pytest.mark.parametrize("kind,etype,dims", [
+        ("scalar", "FLOAT32", (64, 48, 4, 20)), ("label", "UINT8", (128, 96, 4, 20)),
+    ])
+    def test_load_peaks_at_one_payload(self, tmp_path, kind, etype, dims):
+        n = math.prod(dims)
+        if etype == "FLOAT32":
+            payload = np.random.default_rng(5).random(n, dtype=np.float32).tobytes()
+        else:
+            payload = (np.arange(n) % 4).astype(np.uint8).tobytes()
+        f = tmp_path / "v.vol"
+        write_raw(f, 4, dims, (1.5, 1.5, 8.0, 1.0), etype, payload)
+        peak, vol = traced_peak(lambda: load_volume(f, kind))
+        assert peak <= 1.1 * len(payload)
+        assert np.ravel(vol.data, order="F").tobytes() == payload
+        assert vol.data.flags.f_contiguous and not vol.data.flags.writeable
+
+    @pytest.mark.parametrize("have,want", [(1 << 20, 1 << 21), (1 << 21, 1 << 20)],
+                             ids=["truncated", "oversized"])
+    def test_size_error_comes_before_any_payload_sized_allocation(self, tmp_path, have, want):
+        f = tmp_path / "v.vol"
+        write_raw(f, 3, (want, 1, 1), (1, 1, 1), "UINT8", bytes(have))
+        peak, _ = traced_peak(lambda: pytest.raises(VolumeSizeError, load_volume, f, "label"))
+        assert peak < 64 * 1024
+
+
+class TestLabelChecks:
+    @pytest.mark.parametrize("data,bad", [
+        (np.array([0, -1, 2, -3], dtype=np.int8), [-3, -1]),
+        (np.array([0, 1, 7, 200], dtype=np.uint8), [7, 200]),
+        (np.array([0, 3, 300, 2**40], dtype=np.int64), [300, 2**40]),
+        (np.array([0.0, 1.0, 4.0, 9.0]), [4, 9]),
+    ], ids=["negative", "out-of-schema", "int64-above-255", "float"])
+    def test_rejects_with_the_ids_it_found(self, data, bad):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"labels {bad} are not in the schema (0, 1, 2, 3)")):
+            LabelVolume(data=data.reshape(2, 2, 1))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
+    def test_accepts_schema_ids_of_any_dtype_as_uint8(self, dtype):
+        data = np.array([3, 0, 2, 1, 1, 0], dtype=dtype).reshape(3, 2, 1)
+        vol = LabelVolume(data=data)
+        assert vol.data.dtype == np.uint8 and np.array_equal(vol.data, data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.integers(0, 255), min_size=0, max_size=60),
+           order=st.sampled_from(["C", "F", "strided"]))
+    def test_uint8_ids_equal_np_unique(self, values, order):
+        data = np.array(values + [0] * (-len(values) % 6), dtype=np.uint8).reshape(-1, 3, 2)
+        if order == "strided":
+            data = data[::-1, ::2]
+        else:
+            data = np.asarray(data, order=order)
+        assert np.array_equal(present_ids(data), np.unique(data))
