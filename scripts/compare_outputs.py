@@ -15,10 +15,12 @@ Hausdorff distance where it is not zero; and they give the wall-thickness
 kernel the noisy contours the pipeline, which measures only cleaned labels,
 never shows it. On the first case of each seed it also runs ``cardiomr roi
 --out-patch`` and ``cardiomr augment --labels --count 2 --flips`` on that
-patch, and ``cardiomr roi --out-patch`` again on a copy of the cine with
-seeded i.i.d. Gaussian frame noise at 2% of its peak, which spreads the
-temporal harmonic over the whole slice while the edges stay near the heart
-(the noise is drawn in the child with a fixed generator). Once per tree it
+patch, ``cardiomr weights`` on the raw ED segmentation (the loss's contour
+kernel, which nothing else compared runs), and ``cardiomr roi --out-patch``
+again on a copy of the cine with seeded i.i.d. Gaussian frame noise at 2%
+of its peak, which spreads the temporal harmonic over the whole slice while
+the edges stay near the heart (the noise is drawn in the child with a fixed
+generator). Once per tree it
 writes ``cardiomr netinfo`` text, ``--json`` and ``--dot`` output for
 variants A, B and C at the defaults, and the text of a variant C with other
 depths, growth rate and input size. Per seed it writes the features of a
@@ -33,9 +35,9 @@ accuracies) as ``load_model`` reads them back, so a training change that
 moves no label or vote still shows. These commands run through
 ``cli.main``. The artifacts (``report.json``, ``roi_patch.vol``, the
 cleaned labels, the two eval CSVs and the features CSV of every case; the
-ROI center, patch and augmented pairs with their sidecars, and the noisy
-cine's ROI center and patch, of the first case; each seed's classifier
-CSVs, ``predict.json`` and ``model.sha256``; the ten ``netinfo`` files;
+ROI center, patch and augmented pairs with their sidecars, the weight map,
+and the noisy cine's ROI center and patch, of the first case; each seed's
+classifier CSVs, ``predict.json`` and ``model.sha256``; the ten ``netinfo`` files;
 and each seed's ``inputs.sha256``) are then compared byte for byte. The
 input files themselves, the models included, are not compared, so a change
 to how a model or a volume is stored passes as long as the same data is
@@ -88,7 +90,8 @@ def run_cli(*argv) -> None:
 def write_cli_outputs(case, out: Path) -> None:
     """``roi --out-patch`` on the case's cine, then ``augment`` of that patch
     with the ED segmentation cropped around the same center (its slices
-    cycled to the cine's count, so every patch slice has labels)."""
+    cycled to the cine's count, so every patch slice has labels), and
+    ``weights`` of the raw ED segmentation."""
     from cardiomr.volume import LabelVolume, crop_patch, load_volume, save_volume
 
     out.mkdir()
@@ -103,6 +106,7 @@ def write_cli_outputs(case, out: Path) -> None:
                             spacing=seg.spacing), labels_path)
     run_cli("augment", "--input", patch, "--labels", labels_path, "--count", 2, "--flips",
             "--seed", AUGMENT_SEED, "--out-dir", out / "augment")
+    run_cli("weights", "--input", case.seg_ed, "--output", out / "weights.vol")
 
 
 def write_noisy_roi(case, out: Path) -> None:

@@ -425,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--out", default=None, help="'-' echoes the report to stdout")
-    p.add_argument("--seed", type=int, dest="cfg__seed")
     p.add_argument("--patch-w", type=int, dest="cfg__roi__patch_w")
     p.add_argument("--patch-h", type=int, dest="cfg__roi__patch_h")
     _add_config_flag(p)

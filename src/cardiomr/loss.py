@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import dilate_cross
-from .roi import canny_edges, canny_reach, nonzero_window
+from .roi import canny_edges
+from .volume import present_ids
 
 PROB_FLOOR = 1e-12  # floor inside log(); occurrences are reported
 
@@ -52,21 +53,13 @@ class WeightMap:
 def class_contour(mask: np.ndarray, dilate_iters: int = 1) -> np.ndarray:
     """Contour voxels of a binary class mask, kept inside the mask.
 
-    Canny (sigma=1) on the mask, dilated with a 3x3 cross, intersected
-    with the mask so contour sets stay subsets of their class.
+    Canny (sigma=1) on the mask, dilated ``dilate_iters`` times with a 3x3
+    cross, intersected with the mask so contour sets stay subsets of their
+    class.
     """
     mask = np.asarray(mask).astype(bool)
-    # edges lie within Canny's reach of the mask and grow by the dilation;
-    # the kernels run on that window, and every voxel outside it is False
-    dilate_iters = max(dilate_iters, 0)
-    win = nonzero_window(mask, canny_reach(1.0) + dilate_iters)
-    inside = mask[win]
-    edges = canny_edges(inside.astype(np.float64), 1.0, 0.1, 0.2)
-    if dilate_iters > 0:
-        edges = dilate_cross(edges, dilate_iters)
-    out = np.zeros(mask.shape, dtype=bool)
-    out[win] = edges & inside
-    return out
+    edges = canny_edges(mask.astype(np.float64), 1.0, 0.1, 0.2)
+    return dilate_cross(edges, dilate_iters) & mask
 
 
 def build_weight_map(lbl: np.ndarray, dilate_iters: int = 1) -> WeightMap:
@@ -84,7 +77,7 @@ def build_weight_map(lbl: np.ndarray, dilate_iters: int = 1) -> WeightMap:
     contour_term = np.zeros(lbl.shape, dtype=np.float64)
     class_counts = {}
     contour_counts = {}
-    for label in np.unique(lbl):
+    for label in present_ids(lbl):
         label = int(label)
         mask = lbl == label
         t_count = int(mask.sum())
@@ -171,9 +164,7 @@ def minibatch_class_weights(t: np.ndarray) -> dict:
     Absent classes are omitted (their weight would be undefined).
     """
     t = np.asarray(t)
-    total = t.size
-    labels, counts = np.unique(t, return_counts=True)
-    return {int(l): total / int(c) for l, c in zip(labels, counts)}
+    return {int(l): t.size / int(np.count_nonzero(t == l)) for l in present_ids(t)}
 
 
 def dice_loss(p: np.ndarray, t: np.ndarray, cfg: LossConfig | None = None) -> float:

@@ -6,7 +6,7 @@ produced segmentations (label or probability volumes) -> post-processing
 disease prediction when a trained model is supplied. The network
 inference step itself is an explicit external hand-off.
 
-Reports are deterministic: same inputs, config and seed give bytewise
+Reports are deterministic: the same inputs and config give bytewise
 identical JSON (artifact paths are stored relative to the report).
 """
 
@@ -63,7 +63,6 @@ CONFIG_SCHEMA = {
     "postproc.skip_2d": (_BOOL, False),
     "postproc.skip_fill": (_BOOL, False),
     "features.density": (_FLOAT, MYOCARDIUM_DENSITY_G_PER_ML),
-    "seed": (int, 0),
 }
 
 

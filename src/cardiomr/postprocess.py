@@ -2,9 +2,10 @@
 hole filling.
 
 The multi-class entry point runs, per foreground class, a 3D largest
-component pass (26-connectivity), a slice-wise 2D largest component pass
-(8-connectivity), and finally class-aware hole filling so cavities enclosed
-by the myocardium come back as blood pool rather than background.
+component pass (26-connectivity) over the volume, a slice-wise 2D largest
+component pass (8-connectivity) over the whole stack at once, and finally
+class-aware hole filling so cavities enclosed by the myocardium come back
+as blood pool rather than background.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from .kernels import label
 from .roi import nonzero_window
 from .volume import LabelVolume, present_ids
 
-_CONNECTIVITIES = {2: (4, 8), 3: (6, 26)}
-
 
 @dataclass
 class ComponentLabeling:
@@ -31,21 +30,14 @@ class ComponentLabeling:
         return len(self.sizes)
 
 
-def _labelled(mask: np.ndarray, connectivity: int) -> tuple:
-    if connectivity not in _CONNECTIVITIES.get(mask.ndim, ()):
-        raise ValueError(
-            f"connectivity {connectivity} is not valid for {mask.ndim}D masks"
-        )
-    return label(mask, connectivity)
-
-
 def connected_components(mask: np.ndarray, connectivity: int) -> ComponentLabeling:
     """Label connected components; ids follow raster order of first voxel.
 
-    Valid connectivities: 4/8 for 2D masks, 6/26 for 3D.
+    Valid connectivities: 4/8 for a 2D mask or each slice of an
+    ``(nx, ny, nz)`` stack (ids then run slice by slice), 6/26 for a 3D mask.
     """
     mask = np.asarray(mask).astype(bool)
-    labels, n = _labelled(mask, connectivity)
+    labels, n = label(mask, connectivity)
     counts = np.bincount(labels.ravel(), minlength=n + 1)
     return ComponentLabeling(labels=labels, sizes=[(i, int(counts[i])) for i in range(1, n + 1)])
 
@@ -53,20 +45,30 @@ def connected_components(mask: np.ndarray, connectivity: int) -> ComponentLabeli
 def keep_largest(mask: np.ndarray, connectivity: int) -> np.ndarray:
     """Keep only the largest component; ties keep the earliest raster one.
 
-    Components are numbered in the C order of their first voxel, so the
-    first id of the largest size is the earliest.
+    At 6/26 that is the largest of a 3D mask; at 4/8 the largest of a 2D
+    mask, or of each slice of an ``(nx, ny, nz)`` stack. Components are
+    numbered in the C order of their first voxel, slice by slice in a
+    stack, so the first id of the largest size in a slice is the earliest.
     """
     mask = np.asarray(mask).astype(bool)
     out = np.zeros(mask.shape, dtype=bool)
     # every component lies in the bounding box, and translation keeps the
     # C order of first voxels
     win = nonzero_window(mask, 0)
-    labels, n = _labelled(mask[win], connectivity)
+    labels, n = label(mask[win], connectivity)
     if n == 0:
         return out
-    sizes = np.bincount(labels.ravel(), minlength=n + 1)
-    sizes[0] = 0
-    out[win] = labels == np.argmax(sizes)
+    ids = np.arange(1, n + 1)
+    sizes = np.bincount(labels.ravel(), minlength=n + 1)[1:]
+    group = np.zeros(n, dtype=np.intp)  # the slice of each component, in a stack
+    if mask.ndim == 3 and connectivity in (4, 8):
+        group = np.searchsorted(np.maximum.accumulate(labels.max(axis=(0, 1))), ids)
+    # by slice, then size descending, then id: each slice keeps its first
+    order = np.lexsort((ids, -sizes, group))
+    first = order[np.diff(group[order], prepend=-1) != 0]
+    keep = np.zeros(n + 1, dtype=bool)
+    keep[ids[first]] = True
+    out[win] = keep[labels]
     return out
 
 
@@ -166,27 +168,17 @@ def postprocess_labels(
     # terminates and makes the whole operation idempotent. One pass alone
     # is stable after one round, and so are both once the 2D pass drops
     # nothing: every class is then the single component the 3D pass left.
-    repeat = not (skip_3d and skip_2d)
+    passes = [c for c, skip in ((26, skip_3d), (8, skip_2d)) if not skip]
+    repeat = bool(passes)
     while repeat:
         repeat = False
-        if not skip_3d:
+        for connectivity in passes:
             for cls in ordered:
                 mask = data == cls
-                if not mask.any():
-                    continue
-                drop = mask & ~keep_largest(mask, 26)
+                drop = mask & ~keep_largest(mask, connectivity)
                 if drop.any():
                     data[drop] = 0
-        if not skip_2d:
-            for z in range(data.shape[2]):
-                for cls in ordered:
-                    mask = data[:, :, z] == cls
-                    if not mask.any():
-                        continue
-                    drop = mask & ~keep_largest(mask, 8)
-                    if drop.any():
-                        data[:, :, z][drop] = 0
-                        repeat = not skip_3d
+                    repeat |= connectivity == 8 and not skip_3d
 
     if not skip_fill:
         data = _fill_holes_class_aware(data, ordered)

@@ -148,9 +148,9 @@ def canny_reach(sigma: float) -> int:
 
     ``int(4 * sigma + 0.5)`` is the radius of the Gaussian (truncate=4);
     Sobel reads one pixel further and non-maximum suppression one more.
-    Run on a window whose margin around the support is at least this reach,
-    ``canny_edges`` gives the same bits as on the whole image: the window's
-    ``mode="nearest"`` borders then see the zeros the whole image has there.
+    ``canny_edges`` runs on a window with this margin around the support,
+    where it gives the same bits as on the whole image: the window's
+    ``mode="nearest"`` borders see the zeros the whole image has there.
     """
     return int(4 * sigma + 0.5) + 2
 
@@ -170,7 +170,7 @@ def nonzero_window(mask: np.ndarray, margin: int) -> tuple:
     xs = np.flatnonzero(plane.any(axis=1))
     if xs.size == 0:
         return slice(0, 0), slice(0, 0)
-    ys = np.flatnonzero(plane.any(axis=0))
+    ys = np.flatnonzero(plane[xs[0]:xs[-1] + 1].any(axis=0))  # all non-zeros lie in these rows
     nx, ny = plane.shape
     return (
         slice(max(int(xs[0]) - margin, 0), min(int(xs[-1]) + margin + 1, nx)),
@@ -189,6 +189,10 @@ def canny_edges(image: np.ndarray, sigma: float, low: float, high: float) -> np.
     Only a pixel above the low threshold can be an edge, so suppression
     runs on those pixels alone. Hysteresis keeps the 8-connected groups of
     surviving pixels that hold one above the high threshold.
+
+    The detector runs on the image's non-zero box (over all slices of a
+    stack) grown by the reach of its filters: every edge lies inside it, and
+    there it gives the whole image's bits. The result has the input's shape.
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim not in (2, 3):
@@ -197,8 +201,11 @@ def canny_edges(image: np.ndarray, sigma: float, low: float, high: float) -> np.
         raise ValueError("sigma must be positive")
     if not (0 <= low <= high <= 1):
         raise ValueError("need 0 <= low <= high <= 1")
+    out = np.zeros(img.shape, dtype=bool)
+    win = nonzero_window(img, canny_reach(sigma))
+    img = img[win]
     if img.size == 0:
-        return np.zeros(img.shape, dtype=bool)
+        return out
 
     smooth = kernels.gaussian(img, sigma)
     gx = kernels.sobel(smooth, 0).ravel()
@@ -235,7 +242,8 @@ def canny_edges(image: np.ndarray, sigma: float, low: float, high: float) -> np.
         front = np.sort(around[state[around] == 1])
         front = front[np.diff(front, prepend=-1) != 0]  # np.unique, without numpy.ma
     kept = state.reshape(nx + 2, ny + 2, nz)[1:-1, 1:-1] == 2
-    return kept.reshape(img.shape)
+    out[win] = kept.reshape(img.shape)
+    return out
 
 
 def _ring_kernel(radius: int) -> np.ndarray:
@@ -380,9 +388,10 @@ def locate_roi(v: ScalarVolume, cfg: RoiConfig | None = None) -> HoughResult:
     every slice casts a Gaussian vote (sigma = cfg.vote_sigma, weight =
     its accumulator score) into one likelihood surface whose argmax is
     the ROI center. Ties resolve to the lowest (y, then x) index.
-    Canny runs on the H1 support grown by ``canny_reach`` and Hough on one
-    window, all slices' edges grown by radius_max (so usually one FFT grid):
-    outside them every edge and vote is zero, as on the whole slices.
+    Canny runs once per slice, on whole H1 slices (it crops each to its
+    own window). Hough runs on one window, all slices' edges grown by
+    radius_max, so every slice usually shares one FFT grid: outside it every
+    vote is zero, as on the whole slices.
     """
     cfg = cfg or RoiConfig()
     h1 = temporal_h1(v)
@@ -395,13 +404,12 @@ def locate_roi(v: ScalarVolume, cfg: RoiConfig | None = None) -> HoughResult:
     )
     h1 = denoise_h1(h1, cfg.h1_noise_frac)
     nx, ny, nz = h1.magnitudes.shape
-    # translation keeps the flat-index tie order, hence the circles
-    cx, cy = nonzero_window(h1.magnitudes, canny_reach(cfg.canny_sigma))
     edges = np.zeros((nx, ny, nz), dtype=bool)
     for z in range(nz):
-        edges[cx, cy, z] = canny_edges(
-            h1.magnitudes[cx, cy, z], cfg.canny_sigma, cfg.canny_low, cfg.canny_high
+        edges[:, :, z] = canny_edges(
+            h1.magnitudes[:, :, z], cfg.canny_sigma, cfg.canny_low, cfg.canny_high
         )
+    # translation keeps the flat-index tie order, hence the circles
     wx, wy = nonzero_window(edges, cfg.radius_max)
 
     surface = np.zeros((nx, ny), dtype=np.float64)

@@ -17,7 +17,7 @@ import cardiomr
 from cardiomr.diagnosis import Dataset, save_model, train_ensemble
 from cardiomr.features import FEATURE_NAMES
 from cardiomr.phantoms import heart_label_volume, pulsating_disk_cine
-from cardiomr.volume import save_volume
+from cardiomr.volume import ScalarVolume, load_volume, save_volume
 
 # Runs ARGV through cli.main with every scipy import failing, then prints
 # whether numpy.ma was loaded and, last, the scipy modules loaded (none,
@@ -101,6 +101,23 @@ def test_pipeline_leaves_out_numpy_ma(case, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-2:] == ["False", "[]"]
     assert "predict" in json.loads((tmp_path / "run" / "report.json").read_text())["stages"]
+
+
+@pytest.mark.parametrize("command", ["weights", "loss"])
+def test_loss_commands_leave_out_numpy_ma(case, tmp_path, command):
+    c, t = str(case), str(tmp_path)
+    if command == "weights":
+        argv = ["weights", "--input", f"{c}/ed.vol", "--output", f"{t}/weights.vol"]
+    else:
+        ed = load_volume(case / "ed.vol", "label")
+        probs = np.stack([(ed.data == k) + 0.1 for k in range(4)], axis=3).astype(np.float32)
+        save_volume(ScalarVolume(data=probs / probs.sum(axis=3, keepdims=True)),
+                    tmp_path / "probs.vol")
+        argv = ["loss", "--probs", f"{t}/probs.vol", "--labels", f"{c}/ed.vol",
+                "--out", f"{t}/loss.json"]
+    proc = run_without_scipy([argv])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-2:] == ["False", "[]"]
 
 
 def test_augment_needs_scipy(case, tmp_path):

@@ -181,6 +181,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="roi.top_p"):
             PipelineConfig(values={"roi.top_p": "many"})
 
+    def test_seed_is_not_a_key(self, tmp_path):
+        f = tmp_path / "c.cfg"
+        f.write_text("seed = 1\n")
+        with pytest.raises(ConfigError, match="'seed'"):
+            PipelineConfig.load(path=f, env={})
+
 
 class TestProbsToLabels:
     def test_argmax_conversion(self):
@@ -503,6 +509,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(lbl_shape) in err and "(8, 8, 3, 2)" in err
         assert not list((tmp_path / "aug").glob("*.vol"))
+
+    def test_pipeline_has_no_seed_flag(self, case, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "--input", str(case / "cine.vol"),
+                  "--out-dir", str(tmp_path / "out"), "--seed", "1"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_error_exit_is_nonzero_with_stderr(self, tmp_path, capsys):
         rc = main(["roi", "--input", str(tmp_path / "missing.vol")])

@@ -168,6 +168,19 @@ class TestConnectedComponents:
         with pytest.raises(ValueError):
             connected_components(np.zeros((3, 3), bool), 6)
 
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_stack_numbers_slice_by_slice(self, connectivity):
+        rng = np.random.default_rng(4)
+        stack = rng.random((7, 9, 4)) < 0.45
+        stack[:, :, 2] = False
+        got = connected_components(stack, connectivity)
+        offset = 0
+        for z in range(stack.shape[2]):
+            want = flood_fill_label(stack[:, :, z], connectivity)
+            assert np.array_equal(got.labels[:, :, z], np.where(want > 0, want + offset, 0))
+            offset += int(want.max())
+        assert got.n_components == offset
+
 
 class TestKeepLargest:
     def test_keeps_ten_voxel_blob(self):
@@ -197,6 +210,33 @@ class TestKeepLargest:
         for _ in range(20):
             mask = rng.random((10, 10)) < 0.5
             assert keep_largest(mask, 8).sum() <= mask.sum()
+
+    def test_each_slice_of_a_stack_keeps_its_own_largest(self):
+        stack = np.zeros((6, 7, 4), dtype=bool)
+        stack[0, 0:2, 0] = stack[4, 3:5, 0] = True  # a tie: the earlier one stays
+        stack[1:4, 1:4, 2] = True                   # slice 1 is empty
+        stack[5, 6, 2] = True
+        stack[5, 0:3, 3] = stack[0, 0, 3] = True    # smaller than slice 2's largest
+        out = keep_largest(stack, 4)
+        assert out[0, 0, 0] and not out[4, 3, 0]
+        assert out.sum(axis=(0, 1)).tolist() == [2, 0, 9, 3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(stack=arrays(np.bool_, st.tuples(st.integers(1, 10), st.integers(1, 10),
+                                            st.integers(1, 5))),
+           kinds=st.lists(st.sampled_from(["random", "empty", "tied"]), min_size=5,
+                          max_size=5),
+           connectivity=st.sampled_from([4, 8]))
+    def test_stack_equals_per_slice_calls(self, stack, kinds, connectivity):
+        stack = stack.copy()
+        for z in range(stack.shape[2]):
+            if kinds[z] != "random":
+                stack[:, :, z] = False
+            if kinds[z] == "tied":  # two single pixels, apart unless the slice is small
+                stack[0, 0, z] = stack[-1, -1, z] = True
+        got = keep_largest(stack, connectivity)
+        for z in range(stack.shape[2]):
+            assert np.array_equal(got[:, :, z], keep_largest(stack[:, :, z], connectivity))
 
 
 class TestFillHoles:
@@ -312,7 +352,7 @@ class TestPostprocessRounds:
         out = postprocess_labels(lbl)
         assert not out[9:11, 9:11, 2].any()
         assert keep_largest_calls.count(26) == 1
-        assert keep_largest_calls.count(8) == 4
+        assert keep_largest_calls.count(8) == 1
 
     def test_2d_drop_repeats_the_3d_pass(self, keep_largest_calls):
         lbl = np.zeros((12, 12, 2), dtype=np.uint8)

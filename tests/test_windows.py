@@ -2,7 +2,9 @@
 
 Each reference below is the whole-slice implementation as it stood before
 the kernels ran on the non-zero bounding box of their input; the windowed
-kernels must return exactly the same bits.
+kernels must return exactly the same bits. Canny crops its own input, so it
+and the contours built on it are also checked against scipy alone
+(``reference_canny``).
 """
 
 import numpy as np
@@ -34,6 +36,7 @@ from cardiomr.roi import (
     nonzero_window,
 )
 from cardiomr.volume import ScalarVolume
+from test_kernels import reference_canny, slices_of
 
 SIGMAS = (0.5, 1.0, 2.5)
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -44,6 +47,16 @@ PROPERTY = settings(max_examples=150, deadline=None)
 def reference_class_contour(mask, dilate_iters=1):
     mask = np.asarray(mask).astype(bool)
     edges = canny_edges(mask.astype(np.float64), 1.0, 0.1, 0.2)
+    if dilate_iters > 0:
+        cross = ndimage.generate_binary_structure(2, 1)
+        edges = ndimage.binary_dilation(edges, structure=cross, iterations=dilate_iters)
+    return edges & mask
+
+
+def scipy_class_contour(mask, dilate_iters=1):
+    """``class_contour`` on scipy's filters, over the whole slice."""
+    mask = np.asarray(mask).astype(bool)
+    edges = reference_canny(mask.astype(np.float64), 1.0, 0.1, 0.2)
     if dilate_iters > 0:
         cross = ndimage.generate_binary_structure(2, 1)
         edges = ndimage.binary_dilation(edges, structure=cross, iterations=dilate_iters)
@@ -144,6 +157,27 @@ def _images(max_side=40):
         image[x0:x1 + 1, y0:y1 + 1] = draw(arrays(np.float64, (x1 + 1 - x0, y1 + 1 - y0),
                                                   elements=values))
         return image
+    return build()
+
+
+def boxed_images(max_side=44):
+    """2D images and stacks that are zero outside one small box per slice (or
+    empty slices). A box lies on one border or corner of the slice, or at
+    least 13 pixels, more than Canny's reach at sigma 2.5, from every border."""
+    @st.composite
+    def build(draw):
+        nx, ny = draw(st.integers(32, max_side)), draw(st.integers(32, max_side))
+        nz = draw(st.integers(0, 3))
+        image = np.zeros((nx, ny, max(nz, 1)))
+        for z in range(image.shape[2]):
+            if draw(st.integers(0, 4)) == 0:
+                continue
+            w, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+            x0 = draw(st.sampled_from([0, nx - w, draw(st.integers(13, nx - 13 - w))]))
+            y0 = draw(st.sampled_from([0, ny - h, draw(st.integers(13, ny - 13 - h))]))
+            image[x0:x0 + w, y0:y0 + h, z] = draw(arrays(
+                np.float64, (w, h), elements=st.sampled_from([0.0, 0.25, 1.0, 3.7])))
+        return image if nz else image[:, :, 0]
     return build()
 
 
@@ -249,6 +283,15 @@ class TestNonzeroWindow:
     def test_zero_size_image_has_no_edges(self):
         assert canny_edges(np.zeros((0, 0)), 1.0, 0.1, 0.2).shape == (0, 0)
 
+    @PROPERTY
+    @given(image=boxed_images(), sigma=st.sampled_from(SIGMAS),
+           thresholds=st.sampled_from([(0.1, 0.2), (0.0, 0.05), (0.3, 0.9)]))
+    def test_cropping_canny_equals_scipy_on_the_whole_image(self, image, sigma, thresholds):
+        got = canny_edges(image, sigma, *thresholds)
+        assert got.shape == image.shape
+        for plane, edges in zip(slices_of(image), slices_of(got)):
+            assert np.array_equal(edges, reference_canny(plane, sigma, *thresholds))
+
 
 # -- class-aware hole fill --------------------------------------------------
 
@@ -297,6 +340,18 @@ class TestClassContourOracle:
     def test_random_masks(self, mask, dilate_iters):
         assert np.array_equal(class_contour(mask, dilate_iters),
                               reference_class_contour(mask, dilate_iters))
+
+    @pytest.mark.parametrize("dilate_iters", [0, 1, 3])
+    def test_edge_cases_against_scipy(self, dilate_iters):
+        for mask in edge_touching_masks():
+            assert np.array_equal(class_contour(mask, dilate_iters),
+                                  scipy_class_contour(mask, dilate_iters))
+
+    @PROPERTY
+    @given(mask=blob_masks(), dilate_iters=st.integers(0, 3))
+    def test_random_boxes_against_scipy(self, mask, dilate_iters):
+        assert np.array_equal(class_contour(mask, dilate_iters),
+                              scipy_class_contour(mask, dilate_iters))
 
 
 # -- mwt_per_slice -----------------------------------------------------------
