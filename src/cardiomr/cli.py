@@ -28,7 +28,9 @@ from .diagnosis import (
 )
 from .features import FEATURE_NAMES, FeatureRecord, PhaseLabels, extract_features
 from .loss import dice_loss, weight_map_volume, weighted_ce
-from .pipeline import PipelineConfig, PipelineError, dumps_report, roi_stage, run_pipeline
+from .pipeline import (
+    CONFIG_SCHEMA, PipelineConfig, PipelineError, dumps_report, roi_stage, run_pipeline,
+)
 from .postprocess import postprocess_labels
 from .volume import LabelVolume, ScalarVolume, load_volume, save_volume
 
@@ -41,17 +43,20 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _config_from(args) -> PipelineConfig:
-    overrides = {}
-    for key in vars(args):
-        if key.startswith("cfg__"):
-            value = getattr(args, key)
-            if value is not None:
-                overrides[key[len("cfg__"):].replace("__", ".")] = value
-    return PipelineConfig.load(path=getattr(args, "config", None), overrides=overrides)
+    overrides = {k: v for k, v in vars(args).items() if k in CONFIG_SCHEMA}
+    return PipelineConfig.load(path=args.config, overrides=overrides)
 
 
-def _add_config_flag(sub) -> None:
+def _add_config_flags(sub, *keys) -> None:
+    """``--config`` and one flag per config key, named by the key's last part."""
     sub.add_argument("--config", help="flat key=value configuration file")
+    for key in keys:
+        flag = "--" + key.rsplit(".", 1)[-1].replace("_", "-")
+        default = CONFIG_SCHEMA[key][1]
+        if isinstance(default, bool):
+            sub.add_argument(flag, action="store_const", const=True, dest=key)
+        else:
+            sub.add_argument(flag, type=type(default), dest=key)
 
 
 def _cmd_roi(args) -> int:
@@ -326,13 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out-center", default="-")
     p.add_argument("--out-patch")
-    for key in ("radius_min", "radius_max", "top_p"):
-        p.add_argument(f"--{key.replace('_', '-')}", type=int, dest=f"cfg__roi__{key}")
-    for key in ("vote_sigma", "h1_noise_frac", "canny_sigma", "canny_low", "canny_high"):
-        p.add_argument(f"--{key.replace('_', '-')}", type=float, dest=f"cfg__roi__{key}")
-    p.add_argument("--patch-w", type=int, dest="cfg__roi__patch_w")
-    p.add_argument("--patch-h", type=int, dest="cfg__roi__patch_h")
-    _add_config_flag(p)
+    _add_config_flags(p, *(k for k in CONFIG_SCHEMA if k.startswith("roi.")))
     p.set_defaults(func=_cmd_roi)
 
     p = sub.add_parser("augment", help="emit augmented copies with parameter sidecars")
@@ -347,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weights", help="spatial weight map volume from labels")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--dilate-iters", type=int, dest="cfg__loss__dilate_iters")
-    _add_config_flag(p)
+    _add_config_flags(p, "loss.dilate_iters")
     p.set_defaults(func=_cmd_weights)
 
     p = sub.add_parser("loss", help="loss breakdown of probabilities vs labels")
@@ -356,18 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--l2", type=float, default=0.0)
     p.add_argument("--out", default="-")
-    for key in ("lambda", "gamma", "eta", "epsilon"):
-        p.add_argument(f"--{key}", type=float, dest=f"cfg__loss__{key}")
-    _add_config_flag(p)
+    _add_config_flags(p, "loss.lambda", "loss.gamma", "loss.eta", "loss.epsilon")
     p.set_defaults(func=_cmd_loss)
 
     p = sub.add_parser("postproc", help="clean a label volume")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    for key in ("skip_3d", "skip_2d", "skip_fill"):
-        p.add_argument(f"--{key.replace('_', '-')}", action="store_const", const=True,
-                       dest=f"cfg__postproc__{key}")
-    _add_config_flag(p)
+    _add_config_flags(p, "postproc.skip_3d", "postproc.skip_2d", "postproc.skip_fill")
     p.set_defaults(func=_cmd_postproc)
 
     p = sub.add_parser("eval", help="metric table of predictions vs ground truth")
@@ -381,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--es", required=True)
     p.add_argument("--out", default="-")
     p.add_argument("--case-id")
-    p.add_argument("--density", type=float, dest="cfg__features__density")
-    _add_config_flag(p)
+    _add_config_flags(p, "features.density")
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("train-clf", help="train the two-stage ensemble")
@@ -425,9 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--out", default=None, help="'-' echoes the report to stdout")
-    p.add_argument("--patch-w", type=int, dest="cfg__roi__patch_w")
-    p.add_argument("--patch-h", type=int, dest="cfg__roi__patch_h")
-    _add_config_flag(p)
+    _add_config_flags(p, "roi.patch_w", "roi.patch_h")
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

@@ -56,7 +56,7 @@ class H1Volume:
 
     magnitudes: np.ndarray  # (nx, ny, nz), >= 0
     spacing: tuple = (1.0, 1.0, 1.0)
-    cine_peak: float = 0.0  # peak |value| of the cine it came from; 0 if unknown
+    residue: float = 0.0  # bounds a static voxel's rounding residue; 0 if unknown
 
     def __post_init__(self):
         m = np.asarray(self.magnitudes, dtype=np.float64)
@@ -97,8 +97,9 @@ def temporal_h1(v: ScalarVolume) -> H1Volume:
     block of ``_H1_BLOCK`` elements, never a float64 or complex copy of a
     slice or of the cine. Each voxel's sum runs over the same frames in the
     same order as a whole-volume product, so the values are bitwise equal
-    to it. The peak |value| of the cine is taken on the way, as each slice
-    is read.
+    to it. A temporally constant voxel leaves ~1e-16 relative DFT residue,
+    so ``residue`` is ``1e-12 * frames * peak |value|`` of the cine, the
+    peak taken on the way, as each slice is read.
     """
     nx, ny, nz, nt = v.dims
     if nt < 2:
@@ -123,17 +124,19 @@ def temporal_h1(v: ScalarVolume) -> H1Volume:
             block.real = rows[start:start + len(block)]
             np.abs(block @ phase, out=bin1[start:start + len(block)])
         magnitudes[:, :, z] = bin1.reshape(ny, nx).T
-    return H1Volume(magnitudes=magnitudes, spacing=v.spacing[:3], cine_peak=peak)
+    return H1Volume(magnitudes=magnitudes, spacing=v.spacing[:3], residue=1e-12 * nt * peak)
 
 
 def denoise_h1(h: H1Volume, frac: float) -> H1Volume:
-    """Zero out values strictly below frac * max over the whole volume."""
+    """Zero out values strictly below frac * max over the whole volume, and
+    values up to ``h.residue``, so a static input reads as signal-free
+    instead of as faint circles."""
     if not (0 <= frac < 1):
         raise ValueError(f"frac must be in [0, 1), got {frac}")
     m = h.magnitudes
     threshold = frac * m.max() if m.size else 0.0
-    out = np.where(m < threshold, 0.0, m)
-    return H1Volume(magnitudes=out, spacing=h.spacing)
+    out = np.where((m < threshold) | (m <= h.residue), 0.0, m)
+    return H1Volume(magnitudes=out, spacing=h.spacing, residue=h.residue)
 
 
 # Quantized gradient axes for non-maximum suppression: offset of the
@@ -274,47 +277,30 @@ def _ring_spectra(shape: tuple, radius_min: int, radius_max: int) -> np.ndarray:
     return out
 
 
-# Candidates per wanted circle in the first prefix of _select_peaks.
-_PREFIX_PER_PEAK = 64
-
-
 def _select_peaks(votes: np.ndarray, top_p: int, min_dist: int) -> list:
-    """Greedy non-maximum suppression over the positive votes of one plane.
+    """Greedy non-maximum suppression on one vote plane, ``min_dist >= 1``.
 
-    Candidates are visited by score descending, ties by flat (C-order) index
-    descending; a candidate is kept unless it lies closer than ``min_dist``
-    to an already kept one, until ``top_p`` are kept. Only a prefix of that
-    order is materialized: every vote at or above a cut score that at least
-    k votes reach (so ties at the cut stay inside it), with the cut lowered
-    while the prefix runs out of live candidates.
+    Up to ``top_p`` times, the highest vote (ties: the last in C order) is
+    kept if it is positive, and every vote closer than ``min_dist`` to it is
+    zeroed. So a visit by score descending, ties by flat index descending,
+    drops exactly the candidates closer than ``min_dist`` to a kept peak.
+    The plane is copied into a zero margin as wide as the zeroed disk's
+    reach, which keeps its C order and outscores no positive vote.
     Returns ``(x, y, score)`` tuples in the order kept.
     """
-    flat = votes.ravel()
-    positive = np.flatnonzero(flat > 0)
-    if positive.size == 0:
-        return []
-    pos_scores = flat[positive]
-    # votes are integers; at_least[v] counts the positive votes >= v
-    at_least = np.cumsum(np.bincount(pos_scores.astype(np.intp))[::-1])[::-1]
-    k = _PREFIX_PER_PEAK * top_p
-    while True:
-        cut = max(1, int(np.count_nonzero(at_least >= k)) - 1)
-        prefix = pos_scores >= cut
-        idx, scores = positive[prefix], pos_scores[prefix]
-        order = np.lexsort((-idx, -scores))
-        idx, scores = idx[order], scores[order]
-        xs, ys = np.divmod(idx, votes.shape[1])
-        live = np.ones(idx.size, dtype=bool)
-        kept = []
-        while len(kept) < top_p:
-            i = int(np.argmax(live))
-            if not live[i]:
-                break
-            kept.append(i)
-            live &= np.hypot(xs - xs[i], ys - ys[i]) >= min_dist
-        if len(kept) == top_p or cut == 1:
-            return [(int(xs[i]), int(ys[i]), float(scores[i])) for i in kept]
-        k *= 8
+    r = min_dist - 1
+    disk = np.hypot(*np.ogrid[-r:r + 1, -r:r + 1]) < min_dist
+    live = np.zeros((votes.shape[0] + 2 * r, votes.shape[1] + 2 * r), votes.dtype)
+    live[r:r + votes.shape[0], r:r + votes.shape[1]] = votes
+    backwards = live.ravel()[::-1]  # its argmax is the last of the tied maxima
+    kept = []
+    for _ in range(top_p):
+        x, y = divmod(live.size - 1 - int(np.argmax(backwards)), live.shape[1])
+        if live[x, y] <= 0:
+            break
+        kept.append((x - r, y - r, float(live[x, y])))
+        live[x - r:x + r + 1, y - r:y + r + 1][disk] = 0
+    return kept
 
 
 def hough_circles(edges: np.ndarray, cfg: RoiConfig) -> List[Circle]:
@@ -388,21 +374,15 @@ def locate_roi(v: ScalarVolume, cfg: RoiConfig | None = None) -> HoughResult:
     every slice casts a Gaussian vote (sigma = cfg.vote_sigma, weight =
     its accumulator score) into one likelihood surface whose argmax is
     the ROI center. Ties resolve to the lowest (y, then x) index.
+    The H1 magnitudes are ``denoise_h1(temporal_h1(v), cfg.h1_noise_frac)``,
+    so a static cine has no edges and raises ``RoiLocateError``.
     Canny runs once per slice, on whole H1 slices (it crops each to its
     own window). Hough runs on one window, all slices' edges grown by
     radius_max, so every slice usually shares one FFT grid: outside it every
     vote is zero, as on the whole slices.
     """
     cfg = cfg or RoiConfig()
-    h1 = temporal_h1(v)
-    # a temporally constant voxel leaves ~1e-16 relative DFT residue; floor
-    # it so static inputs read as signal-free instead of as faint circles
-    floor = 1e-12 * v.dims[3] * h1.cine_peak
-    h1 = H1Volume(
-        magnitudes=np.where(h1.magnitudes <= floor, 0.0, h1.magnitudes),
-        spacing=h1.spacing,
-    )
-    h1 = denoise_h1(h1, cfg.h1_noise_frac)
+    h1 = denoise_h1(temporal_h1(v), cfg.h1_noise_frac)
     nx, ny, nz = h1.magnitudes.shape
     edges = np.zeros((nx, ny, nz), dtype=bool)
     for z in range(nz):

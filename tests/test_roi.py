@@ -80,6 +80,22 @@ class TestDenoiseH1:
         out = denoise_h1(self._h1([0.0, 0.0]), 0.01)
         assert np.all(out.magnitudes == 0.0)
 
+    def test_values_up_to_the_residue_zeroed(self):
+        from cardiomr.roi import H1Volume
+        h = H1Volume(magnitudes=np.array([3.0, 0.5, 0.25, 0.5000001]).reshape(-1, 1, 1),
+                     residue=0.5)
+        out = denoise_h1(h, 0.0)
+        assert out.magnitudes.ravel().tolist() == [3.0, 0.0, 0.0, 0.5000001]
+
+    def test_static_cine_is_all_zero(self):
+        # a constant voxel leaves DFT residue far above 1% of the largest
+        # residue; only the residue floor takes it out
+        rng = np.random.default_rng(2)
+        series = np.tile(100 * rng.random((6, 5, 2, 1)), (1, 1, 1, 30))
+        h = temporal_h1(ScalarVolume(data=series))
+        assert h.magnitudes.any()
+        assert not denoise_h1(h, 0.01).magnitudes.any()
+
     def test_frac_must_be_below_one(self):
         with pytest.raises(ValueError):
             denoise_h1(self._h1([1.0]), 1.0)
@@ -178,19 +194,25 @@ def reference_hough_circles(edges, cfg):
     for radius in range(cfg.radius_min, cfg.radius_max + 1):
         acc = signal.fftconvolve(emap, roi_mod._ring_kernel(radius), mode="same")
         acc = np.where(acc > 0.5, np.round(acc), 0.0)
-        flat_order = np.argsort(acc, axis=None, kind="stable")[::-1]
-        kept = []
-        for flat in flat_order:
-            score = acc.flat[flat]
-            if score <= 0 or len(kept) >= cfg.top_p:
-                break
-            x, y = np.unravel_index(flat, acc.shape)
-            if any(np.hypot(x - kx, y - ky) < cfg.radius_min for kx, ky in kept):
-                continue
-            kept.append((int(x), int(y)))
-            candidates.append(Circle(center=(int(x), int(y)), radius=radius, score=float(score)))
+        candidates += [Circle(center=(x, y), radius=radius, score=score)
+                       for x, y, score in reference_select_peaks(acc, cfg.top_p, cfg.radius_min)]
     candidates.sort(key=lambda c: (-c.score, c.center[1], c.center[0], c.radius))
     return candidates[: cfg.top_p]
+
+
+def reference_select_peaks(votes, top_p, min_dist):
+    """Visit every vote by score descending, ties by flat index descending,
+    keeping each positive one at least min_dist from those already kept."""
+    kept = []
+    for flat in np.argsort(votes, axis=None, kind="stable")[::-1]:
+        score = votes.flat[flat]
+        if score <= 0 or len(kept) >= top_p:
+            break
+        x, y = np.unravel_index(flat, votes.shape)
+        if any(np.hypot(x - kx, y - ky) < min_dist for kx, ky, _ in kept):
+            continue
+        kept.append((int(x), int(y), float(score)))
+    return kept
 
 
 def criterion1_edge_maps(count):
@@ -234,11 +256,10 @@ class TestHoughOracle:
         edges = random_edge_map(n_pixels, seed=n_pixels)
         assert hough_circles(edges, cfg) == reference_hough_circles(edges, cfg)
 
-    def test_too_few_survivors_grow_the_prefix(self, monkeypatch):
-        # a one-candidate-per-circle first prefix holds only the tied 9s, all
-        # within radius_min of each other; the prefix must grow to every
-        # positive vote, and still fewer than top_p peaks survive
-        monkeypatch.setattr(roi_mod, "_PREFIX_PER_PEAK", 1)
+    def test_too_few_survivors_grow_the_prefix(self):
+        # the tied 9s lie within radius_min of each other, so the last of them
+        # suppresses the rest; the two lower votes survive, and still fewer
+        # than top_p peaks are kept
         cfg = RoiConfig(top_p=5)
         votes = np.zeros((14, 14))
         votes[0:2, 0:3] = 9.0
@@ -248,6 +269,18 @@ class TestHoughOracle:
         assert kept == [(1, 2, 9.0), (12, 12, 2.0), (13, 0, 1.0)]
         edges = random_edge_map(12, shape=(14, 14), seed=4)
         assert hough_circles(edges, cfg) == reference_hough_circles(edges, cfg)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_select_peaks_on_tie_heavy_planes(self, seed):
+        # few distinct votes, so most are tied; zeros and negative votes too
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            shape = tuple(int(n) for n in rng.integers(1, 40, 2))
+            votes = rng.integers(-2, int(rng.integers(1, 6)), shape).astype(np.int32)
+            votes[rng.random(shape) < rng.random()] = 0
+            top_p, min_dist = int(rng.integers(1, 9)), int(rng.integers(1, 12))
+            assert (roi_mod._select_peaks(votes, top_p, min_dist)
+                    == reference_select_peaks(votes, top_p, min_dist))
 
     def test_tie_heavy_symmetric_ring(self):
         cfg = RoiConfig(radius_min=8, radius_max=20, top_p=7)
@@ -327,15 +360,15 @@ class TestTemporalH1Oracle:
         assert np.array_equal(temporal_h1(cine).magnitudes, expected)
 
 
-def test_temporal_h1_records_the_cine_peak():
-    # the static-input floor of locate_roi scales with the peak |value|,
+def test_temporal_h1_records_the_residue():
+    # the static-input floor scales with the frames and the peak |value|,
     # taken as temporal_h1 reads each slab rather than in two more passes
     data = np.zeros((5, 4, 3, 6), dtype=np.float32)
     data[1, 2, 0, 3] = 2.5
     data[4, 0, 2, 1] = -7.25
-    assert temporal_h1(ScalarVolume(data=data)).cine_peak == 7.25
-    assert temporal_h1(ScalarVolume(data=-data)).cine_peak == 7.25
-    assert temporal_h1(ScalarVolume(data=np.zeros((2, 2, 1, 4)))).cine_peak == 0.0
+    assert temporal_h1(ScalarVolume(data=data)).residue == 1e-12 * 6 * 7.25
+    assert temporal_h1(ScalarVolume(data=-data)).residue == 1e-12 * 6 * 7.25
+    assert temporal_h1(ScalarVolume(data=np.zeros((2, 2, 1, 4)))).residue == 0.0
 
 
 class TestTemporalH1Blocks:
