@@ -6,9 +6,8 @@ reference loss kernels with analytic gradients, label post-processing,
 evaluation metrics, cardiac feature extraction, a two-stage disease
 classifier ensemble, and a symbolic network-graph calculator.
 
-Everything but augmentation runs on numpy alone; scipy is imported by
-:mod:`cardiomr.augment` and by the rare KD-tree fallback of the Hausdorff
-distance.
+Everything runs on numpy alone, except the rare KD-tree fallback of the
+Hausdorff distance, which imports scipy.
 """
 
 __version__ = "0.1.0"

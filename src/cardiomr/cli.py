@@ -5,7 +5,9 @@ subcommands that read configuration (``roi``, ``weights``, ``loss``,
 ``postproc``, ``features`` and ``pipeline``) accept ``--config FILE`` (flat
 key=value) and honor CARDIOMR_* environment overrides; diagnostics go to
 stderr, data goes to files, or to stdout when ``--out -`` is given. Exit
-code 0 on success. Only ``augment`` imports scipy, when it runs.
+code 0 on success. No subcommand imports scipy, except the Hausdorff
+distance's KD-tree fallback in ``eval`` and ``pipeline``, taken only for a
+badly wrong segmentation.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def _cmd_roi(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    from .augment import augment_volume, sample_params  # scipy, for this command only
+    from .augment import augment_volume, sample_params  # off the other commands' start-up
 
     vol = load_volume(args.input, "scalar")
     lbl = load_volume(args.labels, "label") if args.labels else None

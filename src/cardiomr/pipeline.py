@@ -25,7 +25,9 @@ from .features import FEATURE_NAMES, MYOCARDIUM_DENSITY_G_PER_ML, PhaseLabels, e
 from .loss import LossConfig
 from .postprocess import postprocess_labels
 from .roi import RoiConfig, RoiLocateError, locate_roi
-from .volume import LabelVolume, ScalarVolume, crop_patch, load_volume, save_volume
+from .volume import (
+    MAX_HEADER_BYTES, LabelVolume, ScalarVolume, crop_patch, load_volume, save_volume,
+)
 
 ENV_PREFIX = "CARDIOMR_"
 
@@ -141,9 +143,16 @@ def _convert(key: str, value):
 
 
 def parse_config_file(path) -> dict:
-    """Read `key = value` lines; '#' starts a comment; unknown keys reject."""
+    """Read `key = value` lines; '#' starts a comment; unknown keys reject.
+
+    A file longer than ``MAX_HEADER_BYTES`` is refused unread past that bound.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read(MAX_HEADER_BYTES + 1)
+    if len(raw) > MAX_HEADER_BYTES:
+        raise ConfigError(f"{path}: config file is larger than {MAX_HEADER_BYTES} bytes")
     out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(raw.decode().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

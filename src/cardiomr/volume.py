@@ -184,6 +184,9 @@ class Patch:
 
 # Bytes read at a time while looking for the blank line that ends a header.
 _HEADER_BLOCK = 4096
+# Bound on a header (the writer's are about 150 bytes) and on a config file,
+# so a file without its terminator is refused before it is read whole.
+MAX_HEADER_BYTES = 64 * 1024
 
 
 def _read_header(fh, path) -> tuple:
@@ -192,6 +195,11 @@ def _read_header(fh, path) -> tuple:
     head = bytearray(fh.read(_HEADER_BLOCK))
     sep = head.find(b"\n\n")
     while sep < 0:
+        if len(head) >= MAX_HEADER_BYTES:
+            raise VolumeFormatError(
+                f"{path}: no blank line terminating the header in its first"
+                f" {MAX_HEADER_BYTES} bytes"
+            )
         block = fh.read(_HEADER_BLOCK)
         if not block:
             raise VolumeFormatError(f"{path}: missing blank line terminating the header")

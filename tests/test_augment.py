@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from cardiomr.augment import (
     AugmentParams,
+    _bilinear,
+    _elastic_field_px,
+    _nearest,
+    _spline_weights,
     apply_augment,
     augment_volume,
     flip_pair,
@@ -152,3 +157,69 @@ class TestAugmentVolume:
             assert np.array_equal(lbl.data[:, :, z], want)
         assert np.array_equal(augment_volume(vol, None, p)[0].data, img.data)
         assert augment_volume(vol, None, p)[1] is None
+
+
+def oracle_points(rng, shape, n=4000):
+    """Points (2, n) on and around an image: random reals, half-integers,
+    exact 0 and n-1 on either axis, points outside [0, n-1], and squares of
+    reals in [0, 1), whose mantissas use every bit, so ``1 - (1 - f)`` is
+    not always f."""
+    pts = np.stack([rng.uniform(-1.5, m + 0.5, n) for m in shape])
+    kind = rng.integers(0, 4, (2, n))
+    half = np.round(2 * pts) / 2
+    edge = np.where(rng.random((2, n)) < 0.5, 0.0, np.array(shape, float)[:, None] - 1)
+    return np.select([kind == 1, kind == 2, kind == 3], [half, edge, rng.random((2, n)) ** 2], pts)
+
+
+class TestResamplingOracle:
+    # scipy.ndimage.map_coordinates is the reference the numpy resamplers
+    # reproduce bit for bit
+    SHAPES = [(1, 1), (1, 6), (6, 1), (2, 2), (2, 7), (17, 31), (59, 40)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_bilinear_is_map_coordinates_order_1(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        img = rng.normal(size=shape)
+        img[rng.random(shape) < 0.2] = -0.0
+        pts = oracle_points(rng, shape)
+        want = ndimage.map_coordinates(img, pts, order=1, mode="constant", cval=0.0)
+        assert _bilinear(img, pts).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_nearest_is_map_coordinates_order_0(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        lbl = rng.integers(0, 4, shape).astype(np.uint8)
+        pts = oracle_points(rng, shape)
+        want = ndimage.map_coordinates(lbl, pts, order=0, mode="constant", cval=0)
+        got = _nearest(lbl, pts)
+        assert got.dtype == np.uint8 and got.tobytes() == want.tobytes()
+
+
+class TestElasticField:
+    def test_weights_hand_values(self):
+        w0, w1 = _spline_weights(3)  # f = 0, 1/2, 1
+        assert w0.tolist() == [1.0, 0.5, 0.0]
+        assert w1.tolist() == [0.0, 0.5, 1.0]
+        assert _spline_weights(1).tolist() == [[1.0], [0.0]]
+
+    def test_corner_pixels_carry_their_control_points(self):
+        grid = sample_params(4).elastic_array
+        field = _elastic_field_px(grid, (9, 14), (1.0, 1.0))
+        for i, j in np.ndindex(2, 2):
+            assert np.array_equal(field[:, i * 8, j * 13], grid[i, j])
+
+    @pytest.mark.parametrize("shape", [(128, 96), (33, 70), (1, 9)])
+    def test_matches_scipy_cubic_spline(self, shape):
+        rng = np.random.default_rng(shape[0])
+        fx, fy = (np.linspace(0.0, 1.0, n) if n > 1 else np.zeros(1) for n in shape)
+        coords = np.stack(np.meshgrid(fx, fy, indexing="ij"))
+        worst = 0.0
+        for seed in range(200):
+            grid = sample_params(seed).elastic_array
+            spacing = rng.uniform(0.5, 2.5, 2)
+            want = np.stack([
+                ndimage.map_coordinates(grid[:, :, axis], coords, order=3, mode="nearest")
+                / spacing[axis] for axis in range(2)
+            ])
+            worst = max(worst, np.abs(_elastic_field_px(grid, shape, spacing) - want).max())
+        assert worst < 1e-12

@@ -1,7 +1,7 @@
-"""The pipeline path runs in an interpreter that cannot import scipy.
+"""The CLI runs in an interpreter that cannot import scipy.
 
-Only ``cardiomr augment`` (``map_coordinates``) and the Hausdorff KD-tree
-fallback of a badly wrong segmentation need scipy.
+Of the library, only the Hausdorff KD-tree fallback, taken for a badly
+wrong segmentation, needs scipy; ``cardiomr augment`` does not.
 """
 
 import json
@@ -120,7 +120,12 @@ def test_loss_commands_leave_out_numpy_ma(case, tmp_path, command):
     assert proc.stdout.strip().splitlines()[-2:] == ["False", "[]"]
 
 
-def test_augment_needs_scipy(case, tmp_path):
-    argv = ["augment", "--input", f"{case}/cine.vol", "--out-dir", str(tmp_path)]
+def test_augment_runs_without_scipy(case, tmp_path):
+    save_volume(heart_label_volume(shape=(96, 96), n_slices=1, lv_center=(48, 50)),
+                tmp_path / "labels.vol")
+    argv = ["augment", "--input", f"{case}/cine.vol", "--labels", f"{tmp_path}/labels.vol",
+            "--count", "2", "--flips", "--out-dir", f"{tmp_path}/aug"]
     proc = run_without_scipy([argv])
-    assert proc.returncode != 0 and "scipy" in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert load_volume(tmp_path / "aug" / "aug_001_labels.vol", "label").dims == (96, 96, 1)

@@ -23,7 +23,7 @@ from cardiomr.pipeline import (
     run_pipeline,
 )
 from cardiomr.roi import RoiConfig
-from cardiomr.volume import LabelVolume, ScalarVolume, load_volume, save_volume
+from cardiomr.volume import MAX_HEADER_BYTES, LabelVolume, ScalarVolume, load_volume, save_volume
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +125,14 @@ class TestConfig:
         f.write_text("nonsense.key = 1\n")
         with pytest.raises(ConfigError, match="nonsense.key"):
             parse_config_file(f)
+
+    def test_config_file_is_read_only_to_the_cap(self, tmp_path):
+        f = tmp_path / "c.cfg"
+        f.write_text("roi.top_p = 7\n# " + "x" * MAX_HEADER_BYTES + "\n")
+        with pytest.raises(ConfigError, match=f"larger than {MAX_HEADER_BYTES} bytes"):
+            parse_config_file(f)
+        f.write_text("roi.top_p = 7\n#" + "x" * (MAX_HEADER_BYTES - 16) + "\n")
+        assert parse_config_file(f) == {"roi.top_p": "7"}
 
     def test_file_and_env_and_override_precedence(self, tmp_path):
         f = tmp_path / "c.cfg"

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cardiomr.volume import (
+    MAX_HEADER_BYTES,
     LabelSchema,
     LabelVolume,
     ScalarVolume,
@@ -497,6 +498,13 @@ class TestLoadMemory:
         write_raw(f, 3, (want, 1, 1), (1, 1, 1), "UINT8", bytes(have))
         peak, _ = traced_peak(lambda: pytest.raises(VolumeSizeError, load_volume, f, "label"))
         assert peak < 64 * 1024
+
+    def test_header_without_blank_line_is_read_only_to_the_cap(self, tmp_path):
+        f = tmp_path / "v.vol"
+        f.write_bytes(b"NDims = 3\n" + b"x" * (4 << 20))
+        peak, err = traced_peak(lambda: pytest.raises(VolumeFormatError, load_volume, f, "scalar"))
+        assert peak < 2 * MAX_HEADER_BYTES
+        assert f"first {MAX_HEADER_BYTES} bytes" in str(err.value)
 
 
 class TestLabelChecks:
