@@ -17,34 +17,40 @@ import numpy as np
 
 
 def _best_split(X, y, idx, counts, node_gini, max_features, n_classes, rng):
+    """Search every sampled feature's cuts at once, in one ``(n, m)`` block.
+
+    Each feature's best cut is the first maximum of its gains over the cuts
+    between distinct values; the first feature wins, and a later one replaces
+    it only when its gain is larger by more than 1e-12.
+    """
     n = len(idx)
     features = rng.choice(X.shape[1], size=max_features, replace=False)
-    best_gain = 0.0
-    best = None
+    vals = X[np.ix_(idx, features)]
+    order = np.argsort(vals, axis=0, kind="stable")
+    sv = np.take_along_axis(vals, order, axis=0)
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), y[idx]] = 1.0
-    for f in features:
-        vals = X[idx, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        distinct = np.nonzero(np.diff(sv) > 0)[0]
-        if distinct.size == 0:
-            continue
-        cum = np.cumsum(onehot[order], axis=0)  # class counts left of each cut
-        left_counts = cum[distinct]
-        left_n = distinct + 1.0
-        right_counts = counts - left_counts
-        right_n = n - left_n
-        gl = 1.0 - ((left_counts / left_n[:, None]) ** 2).sum(axis=1)
-        gr = 1.0 - ((right_counts / right_n[:, None]) ** 2).sum(axis=1)
-        gains = node_gini - (left_n * gl + right_n * gr) / n
-        k = int(np.argmax(gains))
-        if gains[k] > best_gain + 1e-12:
-            best_gain = float(gains[k])
-            threshold = 0.5 * (sv[distinct[k]] + sv[distinct[k] + 1])
-            mask = vals <= threshold
-            best = (int(f), float(threshold), best_gain, idx[mask], idx[~mask])
-    return best
+    left_counts = np.cumsum(onehot[order], axis=0)[:-1]  # class counts left of each cut
+    left_n = np.arange(1.0, n)[:, None]
+    right_counts = counts - left_counts
+    right_n = n - left_n
+    gl = 1.0 - ((left_counts / left_n[:, :, None]) ** 2).sum(axis=2)
+    gr = 1.0 - ((right_counts / right_n[:, :, None]) ** 2).sum(axis=2)
+    gains = node_gini - (left_n * gl + right_n * gr) / n
+    cuts = np.diff(sv, axis=0) > 0  # a cut lies between two distinct values
+    gains[~cuts] = -np.inf  # so a feature without a cut never wins
+    best_gain = 0.0
+    best = None
+    for j, k in enumerate(np.argmax(gains, axis=0)):
+        if gains[k, j] > best_gain + 1e-12:
+            best_gain = float(gains[k, j])
+            best = (j, k)
+    if best is None:
+        return None
+    j, k = best
+    threshold = 0.5 * (sv[k, j] + sv[k + 1, j])
+    mask = vals[:, j] <= threshold
+    return int(features[j]), float(threshold), best_gain, idx[mask], idx[~mask]
 
 
 class RandomForest:

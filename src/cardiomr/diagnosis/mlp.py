@@ -2,14 +2,22 @@
 
 Two ReLU hidden layers by default, cross-entropy objective, full-batch
 Adam updates on a fixed schedule. Given a seed, training is bitwise
-reproducible. Training aborts with :class:`TrainingError` when the loss
-has not improved over the patience window starting from its initial
-value; otherwise the best-loss weights are kept.
+reproducible on one BLAS thread count. An epoch counts as an improvement
+only when its loss is more than ``TOL`` below the last recorded best; that
+loss becomes the best and the weights of that epoch are kept. Training
+stops once more than ``patience`` epochs have passed without an
+improvement and restores the kept weights; it aborts with
+:class:`TrainingError` when that first happens before any epoch has
+improved on the initial loss. ``TOL`` and the default ``patience`` take
+the values of scikit-learn's ``tol`` and ``n_iter_no_change``.
+``n_epochs_`` counts the epochs run.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+TOL = 1e-4  # least loss drop that counts as an improvement
 
 
 class TrainingError(RuntimeError):
@@ -32,7 +40,7 @@ class MLPClassifier:
         seed: int = 0,
         learning_rate: float = 1e-3,
         max_epochs: int = 2000,
-        patience: int = 200,
+        patience: int = 10,
     ):
         self.hidden = tuple(hidden)
         self.seed = seed
@@ -87,14 +95,15 @@ class MLPClassifier:
             probs = _softmax(acts[-1])
             loss = float(-np.log(np.maximum(probs[np.arange(n), y_enc], 1e-300)).mean())
             history.append(loss)
-            if loss < best_loss - 1e-12:
+            if loss < best_loss - TOL:
                 best_loss = loss
                 best_epoch = epoch
                 best_weights = ([W.copy() for W in self.W_], [b.copy() for b in self.b_])
             elif epoch - best_epoch > self.patience:
                 if best_epoch <= 0:
                     raise TrainingError(
-                        f"loss failed to decrease within {self.patience} epochs"
+                        f"loss failed to decrease by more than tol={TOL:g}"
+                        f" within patience={self.patience} epochs"
                         f" (initial {history[0]:.6f}, last {loss:.6f})",
                         history,
                     )
@@ -115,6 +124,7 @@ class MLPClassifier:
                 vh = v[j] / (1 - beta2**t)
                 params[j] -= self.learning_rate * mh / (np.sqrt(vh) + eps)
 
+        self.n_epochs_ = len(history)
         if best_weights is not None:
             self.W_, self.b_ = best_weights
         return self

@@ -169,6 +169,87 @@ def _walk_one_row_one_tree(clf, row):
     return clf.classes_[np.argmax(votes)], (votes == votes.max()).sum() > 1
 
 
+def reference_best_split(X, y, idx, counts, node_gini, max_features, n_classes, rng):
+    """``forest._best_split`` one sampled feature at a time."""
+    n = len(idx)
+    features = rng.choice(X.shape[1], size=max_features, replace=False)
+    best_gain = 0.0
+    best = None
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y[idx]] = 1.0
+    for f in features:
+        vals = X[idx, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        distinct = np.nonzero(np.diff(sv) > 0)[0]
+        if distinct.size == 0:
+            continue
+        cum = np.cumsum(onehot[order], axis=0)  # class counts left of each cut
+        left_counts = cum[distinct]
+        left_n = distinct + 1.0
+        right_counts = counts - left_counts
+        right_n = n - left_n
+        gl = 1.0 - ((left_counts / left_n[:, None]) ** 2).sum(axis=1)
+        gr = 1.0 - ((right_counts / right_n[:, None]) ** 2).sum(axis=1)
+        gains = node_gini - (left_n * gl + right_n * gr) / n
+        k = int(np.argmax(gains))
+        if gains[k] > best_gain + 1e-12:
+            best_gain = float(gains[k])
+            threshold = 0.5 * (sv[distinct[k]] + sv[distinct[k] + 1])
+            mask = vals <= threshold
+            best = (int(f), float(threshold), best_gain, idx[mask], idx[~mask])
+    return best
+
+
+def _tied_data(rng, n, d, n_classes):
+    """Rows drawn from a few values per feature. With two columns or more the
+    last holds two adjacent floats, whose midpoint rounds onto the lower one,
+    and with three or more another column is constant."""
+    X = rng.integers(0, 4, size=(n, d)) * rng.choice([0.25, 1.0, 3.0], size=d)
+    if d > 1:
+        X[:, -1] = 1.0 + rng.integers(0, 2, size=n) * np.spacing(1.0)
+    if d > 2:
+        X[:, rng.integers(0, d - 1)] = 1.5
+    return X, rng.integers(0, n_classes, size=n)
+
+
+class TestBestSplitOracle:
+    @pytest.mark.parametrize("d", [1, 2, 5, 16])
+    @pytest.mark.parametrize("m", ["one", "sqrt", "all"])
+    def test_equals_per_feature_search(self, d, m):
+        m = {"one": 1, "sqrt": max(1, int(round(np.sqrt(d)))), "all": d}[m]
+        rng = np.random.default_rng(100 * d + m)
+        X, y = _tied_data(rng, 40, d, 3)
+        splits = 0
+        for node in range(150):
+            size = 2 if node % 5 == 0 else int(rng.integers(2, 41))
+            idx = rng.integers(0, 40, size=size)  # a bootstrap holds repeats
+            counts = np.bincount(y[idx], minlength=3)
+            p = counts / size
+            node_gini = 1.0 - float((p * p).sum())
+            want = reference_best_split(X, y, idx, counts, node_gini, m, 3,
+                                        np.random.default_rng(node))
+            got = forest._best_split(X, y, idx, counts, node_gini, m, 3,
+                                     np.random.default_rng(node))
+            if want is None:
+                assert got is None
+                continue
+            splits += 1
+            assert got[:3] == want[:3]
+            assert [type(v) for v in got[:3]] == [int, float, float]
+            assert np.array_equal(got[3], want[3]) and np.array_equal(got[4], want[4])
+        assert splits > 50
+
+    def test_forest_equals_forest_of_per_feature_searches(self, monkeypatch):
+        X, y = _tied_data(np.random.default_rng(12), 90, 9, 4)
+        got = RandomForest(n_trees=40, seed=3).fit(X, y)
+        monkeypatch.setattr(forest, "_best_split", reference_best_split)
+        want = RandomForest(n_trees=40, seed=3).fit(X, y)
+        for name in ("roots_", "feature_", "threshold_", "right_", "leaf_class_",
+                     "feature_importances_", "feature_importances_std_"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 class TestMLP:
     def test_xor(self):
         rng = np.random.default_rng(5)
@@ -204,6 +285,19 @@ class TestMLP:
             MLPClassifier(hidden=(4,), seed=0, learning_rate=0.0,
                           max_epochs=50, patience=5).fit(X, y)
         assert err.value.history
+
+    def test_stops_before_max_epochs_on_separable_blobs(self):
+        X, y = blobs(np.random.default_rng(6))
+        clf = MLPClassifier(seed=0).fit(X[:150], y[:150])
+        assert clf.n_epochs_ < clf.max_epochs
+        assert (clf.predict(X[150:]) == y[150:]).mean() >= 0.99
+
+    def test_training_error_names_tol_and_patience(self):
+        X = np.array([[0.0], [0.0]])
+        y = np.array(["A", "B"])
+        with pytest.raises(TrainingError, match="^loss failed to decrease by more than"
+                           r" tol=0\.0001 within patience=7 epochs"):
+            MLPClassifier(hidden=(4,), seed=0, patience=7).fit(X, y)
 
 
 def _per_layer_adam(X, y, hidden, seed, epochs, lr=1e-3):
