@@ -1,7 +1,11 @@
 """Synthetic cardiac phantoms for tests, demos and calibration.
 
 Everything here is deterministic given the seed so downstream checks can
-freeze expected values.
+freeze expected values. Each phantom is built whole: a cine fills all its
+frames in one ``np.where``, and a disease-cohort phase paints all its
+slices in one ``heart_slice`` call, from per-slice radius vectors and one
+pair of distance grids. Arrays are C-ordered, and each is handed to its
+volume with ``_owned=True``, so it is not copied again.
 """
 
 from __future__ import annotations
@@ -47,29 +51,39 @@ def pulsating_disk_cine(
     """
     nx, ny = shape
     rng = np.random.default_rng(seed)
-    background = background_texture * rng.random((nx, ny))
-    d = _distance(shape, center)
+    background = (background_texture * rng.random((nx, ny))).astype(np.float32)
     r_mid = 0.5 * (radius_range[0] + radius_range[1])
     r_amp = 0.5 * (radius_range[1] - radius_range[0])
-    frames = np.empty((nx, ny, 1, n_frames), dtype=np.float32)
-    for t in range(n_frames):
-        r = r_mid + r_amp * np.cos(2 * np.pi * t / n_frames)
-        frames[:, :, 0, t] = np.where(d <= r, 1.0, background)
-    return ScalarVolume(data=frames, spacing=(1.0, 1.0, 1.0, 1.0))
+    radii = [r_mid + r_amp * np.cos(2 * np.pi * t / n_frames) for t in range(n_frames)]
+    d = _distance(shape, center)[:, :, np.newaxis]
+    frames = np.where(d <= np.array(radii), np.float32(1.0), background[:, :, np.newaxis])
+    return ScalarVolume(data=frames.reshape(nx, ny, 1, n_frames),
+                        spacing=(1.0, 1.0, 1.0, 1.0), _owned=True)
 
 
 def heart_slice(shape, lv_center, lv_radius, wall_px, rv_center=None, rv_radius=0.0) -> np.ndarray:
-    """One short-axis label slice: LV cavity, MYO ring and optional RV disk.
+    """Short-axis label slices: LV cavity, MYO ring and optional RV disk.
 
-    ``wall_px`` is one wall width or an (nx, ny) array of widths, read at
-    each pixel.
+    With scalar radii this is one (nx, ny) slice. ``lv_radius`` and
+    ``rv_radius`` may instead be vectors of one radius per slice; the slices
+    then stack along a trailing axis, (nx, ny, n), and share one pair of
+    distance grids. ``wall_px`` is one wall width or an array of widths, read
+    at each pixel, that broadcasts against the result: (nx, ny) for one
+    slice; (n,), (nx, ny, 1) or (nx, ny, n) for a stack.
     """
-    lbl = np.zeros(shape, dtype=np.uint8)
-    if rv_center is not None and rv_radius > 0:
-        lbl[disk_mask(shape, rv_center, rv_radius)] = ACDC_SCHEMA.id_of("RV")
+    radii = np.reshape(lv_radius, -1)  # a scalar is a stack of one
+    lbl = np.zeros(shape + np.shape(lv_radius), dtype=np.uint8)
+    stack = lbl.reshape(shape + radii.shape)
+    walls = np.broadcast_to(wall_px, lbl.shape).reshape(stack.shape)
+    rv_radii = np.broadcast_to(rv_radius, radii.shape)
+    d_rv = None if rv_center is None else _distance(shape, rv_center)
     d = _distance(shape, lv_center)
-    lbl[(d > lv_radius) & (d <= lv_radius + wall_px)] = ACDC_SCHEMA.id_of("MYO")
-    lbl[d <= lv_radius] = ACDC_SCHEMA.id_of("LV")
+    for z, r in enumerate(radii):
+        sl = stack[:, :, z]
+        if d_rv is not None and rv_radii[z] > 0:
+            sl[d_rv <= rv_radii[z]] = ACDC_SCHEMA.id_of("RV")
+        sl[(d > r) & (d <= r + walls[:, :, z])] = ACDC_SCHEMA.id_of("MYO")
+        sl[d <= r] = ACDC_SCHEMA.id_of("LV")
     return lbl
 
 
@@ -87,22 +101,24 @@ def heart_label_volume(
     rv_center = (lv_center[0] + rv_offset[0], lv_center[1] + rv_offset[1])
     sl = heart_slice(shape, lv_center, lv_radius, wall_px, rv_center=rv_center, rv_radius=rv_radius)
     data = np.repeat(sl[:, :, np.newaxis], n_slices, axis=2)
-    return LabelVolume(data=data, spacing=spacing)
+    return LabelVolume(data=data, spacing=spacing, _owned=True)
 
 
-def _base_wall_for_area(r: float, area: float, thin_frac: float, thin_w: float) -> float:
+def _base_wall_for_area(r, area: float, thin_frac: float, thin_w: float):
     """Base wall width so the annulus (with a thinned sector) hits ``area``.
 
-    Solves (1-f)*w*(2r+w) + f*thin_w*(2r+thin_w) = area for w.
+    Solves (1-f)*w*(2r+w) + f*thin_w*(2r+thin_w) = area for w, elementwise
+    over a vector of radii ``r``.
     """
     frac_b = 1.0 - thin_frac
     rhs = area - thin_frac * thin_w * (2 * r + thin_w)
-    rhs = max(rhs, 0.2 * area)
+    rhs = np.maximum(rhs, 0.2 * area)
     return -r + np.sqrt(r * r + rhs / frac_b)
 
 
-def _uniform_wall_for_area(r: float, area: float) -> float:
-    """Wall width of a uniform annulus of the given cross-section area."""
+def _uniform_wall_for_area(r, area: float):
+    """Wall width of a uniform annulus of the given cross-section area, per
+    radius of ``r``."""
     return -r + np.sqrt(r * r + area)
 
 
@@ -115,6 +131,8 @@ def disease_cohort_case(seed: int, kind: str, shape=(96, 96)):
     structure: DCM walls are uniform, MINF walls carry a thin sector that
     stays thin at end-systole.
     """
+    if kind not in ("MINF", "DCM"):
+        raise ValueError(f"kind must be 'MINF' or 'DCM', got {kind!r}")
     rng = np.random.default_rng(seed)
     n_slices = int(rng.integers(6, 11))
     sxy = float(rng.uniform(1.2, 1.8))
@@ -136,21 +154,17 @@ def disease_cohort_case(seed: int, kind: str, shape=(96, 96)):
         dx, dy = _offsets(shape, center)
         thin = np.abs(np.angle(np.exp(1j * (np.arctan2(dy, dx) - phi)))) < theta / 2
 
-    def wall(r):
+    def build(scale) -> LabelVolume:
+        r = r_ed * scale * taper
         if kind == "DCM":
-            return _uniform_wall_for_area(r, area)
-        return np.where(thin, thin_w, _base_wall_for_area(r, area, theta / (2 * np.pi), thin_w))
+            wall = _uniform_wall_for_area(r, area)
+        else:
+            wall = np.where(thin[:, :, np.newaxis], thin_w,
+                            _base_wall_for_area(r, area, theta / (2 * np.pi), thin_w))
+        data = heart_slice(shape, center, r, wall, rv_center=rv_center, rv_radius=rv_r_ed * scale * taper)
+        return LabelVolume(data=data, spacing=(sxy, sxy, sz), _owned=True)
 
-    def build(phase: str) -> LabelVolume:
-        es = phase == "es"
-        data = np.zeros(shape + (n_slices,), dtype=np.uint8)
-        for z in range(n_slices):
-            r = (r_ed * shrink if es else r_ed) * taper[z]
-            rv_r = (rv_r_ed * shrink if es else rv_r_ed) * taper[z]
-            data[:, :, z] = heart_slice(shape, center, r, wall(r), rv_center=rv_center, rv_radius=rv_r)
-        return LabelVolume(data=data, spacing=(sxy, sxy, sz))
-
-    return build("ed"), build("es")
+    return build(1.0), build(shrink)
 
 
 def disease_cohort(n_cases: int, seed: int = 0):

@@ -134,11 +134,31 @@ class ScalarVolume:
         return self.data.shape
 
 
+def _only_schema_ids(data: np.ndarray) -> bool:
+    """Whether an integer array holds ids of :data:`ACDC_SCHEMA` only. The ids
+    are the range 0..3, so one ``min`` and one ``max`` decide, with no
+    temporary of the array's size."""
+    ids = ACDC_SCHEMA.ids
+    return data.dtype.kind in "biu" and (
+        data.size == 0 or (min(ids) <= data.min() and data.max() <= max(ids)))
+
+
+def _label_value(v):
+    """A found label value as it is named in an error: integral values as
+    ints, anything else (1.5, -0.5, nan) as the float it is."""
+    return int(v) if float(v).is_integer() else float(v)
+
+
 @dataclass(frozen=True)
 class LabelVolume:
-    """Immutable 3D/4D integer label grid whose values are ids of
-    :data:`ACDC_SCHEMA`. Held as uint8; the caller's array is copied once,
-    unless handed over with ``_owned=True`` as in :class:`ScalarVolume`."""
+    """Immutable 3D/4D label grid whose values are ids of :data:`ACDC_SCHEMA`.
+
+    An integer array is checked with one ``min`` and one ``max``; any other
+    array value by value, so a non-integral value (1.5, -0.5, nan) is refused,
+    never truncated to an id. The refusal names every value outside the
+    schema. Held as uint8; the caller's array is copied once, unless handed
+    over with ``_owned=True`` as in :class:`ScalarVolume`.
+    """
 
     data: np.ndarray
     spacing: tuple = (1.0, 1.0, 1.0)
@@ -148,9 +168,10 @@ class LabelVolume:
         data = np.asarray(self.data)
         if data.ndim not in (3, 4):
             raise ValueError(f"label volume must be 3D or 4D, got {data.ndim}D")
-        bad = [int(v) for v in present_ids(data) if int(v) not in ACDC_SCHEMA.ids]
-        if bad:
-            raise ValueError(f"labels {bad} are not in the schema {ACDC_SCHEMA.ids}")
+        if not _only_schema_ids(data):
+            bad = [_label_value(v) for v in present_ids(data) if v not in ACDC_SCHEMA.ids]
+            if bad:
+                raise ValueError(f"labels {bad} are not in the schema {ACDC_SCHEMA.ids}")
         spacing = tuple(float(s) for s in self.spacing)
         if len(spacing) != data.ndim or any(not 0 < s < math.inf for s in spacing):
             raise ValueError(

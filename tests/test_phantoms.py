@@ -180,7 +180,8 @@ class TestHearts:
         walls = []
 
         def recording(shape, lv_center, lv_radius, wall_px, **kwargs):
-            walls.append(np.broadcast_to(wall_px, shape))
+            stack = np.broadcast_to(wall_px, shape + np.shape(lv_radius)).reshape(shape + (-1,))
+            walls.extend(np.moveaxis(stack, -1, 0))
             return heart_slice(shape, lv_center, lv_radius, wall_px, **kwargs)
 
         monkeypatch.setattr(phantoms, "heart_slice", recording)
@@ -197,3 +198,51 @@ class TestHearts:
             ref_ed, ref_es, _ = ref_cohort_case(int(rng.integers(0, 2**31)), kind, (96, 96))
             assert np.array_equal(ed.data, ref_ed)
             assert np.array_equal(es.data, ref_es)
+
+
+class TestStacks:
+    @pytest.mark.parametrize("wall", ["scalar", "per-slice", "per-pixel"])
+    def test_stacked_slices_equal_one_call_per_slice(self, wall):
+        shape, n = (40, 36), 5
+        rng = np.random.default_rng(3)
+        lv = rng.uniform(4.0, 9.0, n)
+        rv = np.array([0.0, 3.5, 6.0, 0.0, 5.25])  # a zero radius paints no RV
+        walls = {"scalar": 2.5, "per-slice": rng.uniform(1.0, 4.0, n),
+                 "per-pixel": rng.uniform(1.0, 4.0, shape + (n,))}[wall]
+        stack = heart_slice(shape, (20.3, 17.6), lv, walls, rv_center=(9, 18), rv_radius=rv)
+        per_pixel = np.broadcast_to(walls, shape + (n,))
+        for z in range(n):
+            assert np.array_equal(stack[:, :, z], heart_slice(
+                shape, (20.3, 17.6), lv[z], per_pixel[:, :, z], rv_center=(9, 18),
+                rv_radius=rv[z]))
+
+    @pytest.mark.parametrize("kind", ["NOR", "minf", ""])
+    def test_unknown_kind_names_the_accepted_ones(self, kind, monkeypatch):
+        monkeypatch.setattr(phantoms.np.random, "default_rng", None)  # no draw is made
+        with pytest.raises(ValueError, match=f"kind must be 'MINF' or 'DCM', got '{kind}'"):
+            disease_cohort_case(1, kind)
+
+
+class TestLayout:
+    """Phantoms keep the C order they are built in, and hand their arrays
+    over read-only. ``crop_patch`` keeps its source's order, so an x-fastest
+    cine would change the layout of every patch cut from it."""
+
+    def test_cine_is_c_ordered_and_read_only(self):
+        data = pulsating_disk_cine(shape=(20, 12), n_frames=7).data
+        assert data.shape == (20, 12, 1, 7) and data.dtype == np.float32
+        assert data.flags.c_contiguous and data.strides == (12 * 7 * 4, 7 * 4, 7 * 4, 4)
+        assert not data.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["MINF", "DCM"])
+    def test_cohort_phases_are_c_ordered_and_read_only(self, kind):
+        for vol in disease_cohort_case(5, kind, shape=(30, 26)):
+            nz = vol.dims[2]
+            assert vol.data.dtype == np.uint8
+            assert vol.data.flags.c_contiguous and vol.data.strides == (26 * nz, nz, 1)
+            assert not vol.data.flags.writeable
+
+    def test_heart_label_volume_is_c_ordered_and_read_only(self):
+        data = heart_label_volume(shape=(30, 26), n_slices=3).data
+        assert data.flags.c_contiguous and data.strides == (26 * 3, 3, 1)
+        assert not data.flags.writeable

@@ -535,3 +535,26 @@ class TestLabelChecks:
         else:
             data = np.asarray(data, order=order)
         assert np.array_equal(present_ids(data), np.unique(data))
+
+
+class TestLabelValues:
+    """A float label that is not exactly an id is refused, never truncated."""
+
+    @pytest.mark.parametrize("values,bad", [
+        ([0.0, 1.5, 2.9, 3.99], [1.5, 2.9, 3.99]),
+        ([0.0, 1.0, np.nan, 2.0], ["nan"]),
+        ([-0.5, 0.0, 1.0, 3.0], [-0.5]),
+        ([0.0, np.inf, 2.0, 4.0], [4, "inf"]),
+    ], ids=["fractions", "nan", "negative-fraction", "inf"])
+    def test_refuses_non_integral_floats(self, values, bad):
+        names = ", ".join(str(v) for v in bad)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"labels [{names}] are not in the schema (0, 1, 2, 3)")):
+            LabelVolume(data=np.array(values).reshape(2, 2, 1))
+
+    @pytest.mark.parametrize("dtype", [bool, np.int16, np.uint32])
+    def test_integer_check_by_range_accepts_every_schema_id(self, dtype):
+        data = np.array([0, 1, 1, 0] if dtype is bool else [3, 0, 2, 1], dtype=dtype)
+        vol = LabelVolume(data=data.reshape(2, 2, 1))
+        assert np.array_equal(vol.data.ravel(), data)
+        assert LabelVolume(data=np.zeros((0, 2, 1), dtype=dtype)).dims == (0, 2, 1)
