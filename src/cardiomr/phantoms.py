@@ -1,11 +1,12 @@
 """Synthetic cardiac phantoms for tests, demos and calibration.
 
 Everything here is deterministic given the seed so downstream checks can
-freeze expected values. Each phantom is built whole: a cine fills all its
-frames in one ``np.where``, and a disease-cohort phase paints all its
-slices in one ``heart_slice`` call, from per-slice radius vectors and one
-pair of distance grids. Arrays are C-ordered, and each is handed to its
-volume with ``_owned=True``, so it is not copied again.
+freeze expected values. A cine fills all its frames in one ``np.where``.
+``heart_slice`` paints a stack of slices from per-slice radius vectors and
+one pair of distance grids; a DCM phase is one such call. A MINF wall
+varies by pixel and by slice, so a MINF phase is painted a slice at a time
+rather than from a float64 volume of widths. Arrays are C-ordered, and each
+is handed to its volume with ``_owned=True``, so it is not copied again.
 """
 
 from __future__ import annotations
@@ -155,13 +156,15 @@ def disease_cohort_case(seed: int, kind: str, shape=(96, 96)):
         thin = np.abs(np.angle(np.exp(1j * (np.arctan2(dy, dx) - phi)))) < theta / 2
 
     def build(scale) -> LabelVolume:
-        r = r_ed * scale * taper
+        r, rv_r = r_ed * scale * taper, rv_r_ed * scale * taper
         if kind == "DCM":
-            wall = _uniform_wall_for_area(r, area)
-        else:
-            wall = np.where(thin[:, :, np.newaxis], thin_w,
-                            _base_wall_for_area(r, area, theta / (2 * np.pi), thin_w))
-        data = heart_slice(shape, center, r, wall, rv_center=rv_center, rv_radius=rv_r_ed * scale * taper)
+            data = heart_slice(shape, center, r, _uniform_wall_for_area(r, area),
+                               rv_center=rv_center, rv_radius=rv_r)
+        else:  # a slice at a time, with no float64 volume of widths
+            base = _base_wall_for_area(r, area, theta / (2 * np.pi), thin_w)
+            data = np.stack([heart_slice(shape, center, r[z], np.where(thin, thin_w, base[z]),
+                                         rv_center=rv_center, rv_radius=rv_r[z])
+                             for z in range(n_slices)], axis=2)
         return LabelVolume(data=data, spacing=(sxy, sxy, sz), _owned=True)
 
     return build(1.0), build(shrink)

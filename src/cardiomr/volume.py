@@ -143,12 +143,6 @@ def _only_schema_ids(data: np.ndarray) -> bool:
         data.size == 0 or (min(ids) <= data.min() and data.max() <= max(ids)))
 
 
-def _label_value(v):
-    """A found label value as it is named in an error: integral values as
-    ints, anything else (1.5, -0.5, nan) as the float it is."""
-    return int(v) if float(v).is_integer() else float(v)
-
-
 @dataclass(frozen=True)
 class LabelVolume:
     """Immutable 3D/4D label grid whose values are ids of :data:`ACDC_SCHEMA`.
@@ -169,7 +163,8 @@ class LabelVolume:
         if data.ndim not in (3, 4):
             raise ValueError(f"label volume must be 3D or 4D, got {data.ndim}D")
         if not _only_schema_ids(data):
-            bad = [_label_value(v) for v in present_ids(data) if v not in ACDC_SCHEMA.ids]
+            bad = [int(v) if float(v).is_integer() else float(v)  # 1.5, nan: as floats
+                   for v in present_ids(data) if v not in ACDC_SCHEMA.ids]
             if bad:
                 raise ValueError(f"labels {bad} are not in the schema {ACDC_SCHEMA.ids}")
         spacing = tuple(float(s) for s in self.spacing)
