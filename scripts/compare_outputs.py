@@ -33,12 +33,18 @@ fitted arrays (forest, MLP weights and biases, SVM and naive Bayes state,
 preprocessor statistics, the expert's, and the cross-validation
 accuracies) as ``load_model`` reads them back, so a training change that
 moves no label or vote still shows. These commands run through
-``cli.main``. The artifacts (``report.json``, ``roi_patch.vol``, the
+``cli.main``. Per seed it also writes ``loss.sha256``, a digest of the loss
+kernels in float64 (``weights.vol`` stores float32, and nothing else runs
+the gradient): the weight map's arrays and counts, the ``total_loss``
+breakdown with its clamp count, and the ``total_loss_grad`` bytes of the
+benchmark's augmented training slices, at the default config and at one
+that moves every factor. The artifacts (``report.json``, ``roi_patch.vol``, the
 cleaned labels, the two eval CSVs and the features CSV of every case; the
 ROI center, patch and augmented pairs with their sidecars, the weight map,
 and the noisy cine's ROI center and patch, of the first case; each seed's
-classifier CSVs, ``predict.json`` and ``model.sha256``; the ten ``netinfo`` files;
-and each seed's ``inputs.sha256``) are then compared byte for byte. The
+classifier CSVs, ``predict.json``, ``model.sha256`` and ``loss.sha256``; the
+ten ``netinfo`` files; and each seed's ``inputs.sha256``) are then compared
+byte for byte. The
 input files themselves, the models included, are not compared, so a change
 to how a model or a volume is stored passes as long as the same data is
 read back.
@@ -78,6 +84,9 @@ NOISE_SEED = 11
 NOISE_FRAC = 0.02
 N_CLF_TRAIN = 60
 N_CLF_TEST = 40
+N_LOSS_CASES = 2
+# (LossConfig keywords, dilate_iters) of each loss digest pass
+LOSS_SETTINGS = (({}, 1), (dict(lam=0.7, gamma=1.3, epsilon=1e-3, dice_two_factor=False), 2))
 
 
 def run_cli(*argv) -> None:
@@ -222,6 +231,39 @@ def write_model_digest(model_path: Path, out: Path) -> None:
     out.write_text(f"{digest.hexdigest()}  {model_path.name}\n")
 
 
+def write_loss_digest(train_slices, out: Path) -> None:
+    """``loss.sha256``: one SHA-256 over, for each training slice augmented
+    by its own seed and each of LOSS_SETTINGS, the weight map's arrays and
+    counts, the ``total_loss`` breakdown and clamp count, and the
+    ``total_loss_grad`` array."""
+    import hashlib
+
+    import numpy as np
+    from cardiomr import augment
+    from cardiomr.loss import LossConfig, build_weight_map, total_loss, total_loss_grad
+
+    digest = hashlib.sha256()
+
+    def update(name, value):
+        arr = np.ascontiguousarray(value)
+        digest.update(repr((name, arr.dtype.str, arr.shape)).encode())
+        digest.update(arr.tobytes())
+
+    for s in train_slices:
+        _, lbl = augment.apply_augment(s.image, s.labels, augment.sample_params(s.augment_seed),
+                                       spacing=s.spacing)
+        for keywords, dilate_iters in LOSS_SETTINGS:
+            cfg = LossConfig(**keywords)
+            wm = build_weight_map(lbl, dilate_iters)
+            for field in ("values", "class_term", "contour_term"):
+                update(field, getattr(wm, field))
+            diag = {}
+            _, breakdown = total_loss(s.logits, lbl, wm.values, cfg, diagnostics=diag)
+            digest.update(repr((wm.class_counts, wm.contour_counts, breakdown, diag)).encode())
+            update("grad", total_loss_grad(s.logits, lbl, wm.values, cfg))
+    out.write_text(f"{digest.hexdigest()}  loss\n")
+
+
 def write_input_digests(cases, root: Path) -> None:
     """``inputs.sha256`` under ``root``: one SHA-256 per input volume of each
     case over its decoded dtype, shape, spacing and data."""
@@ -260,13 +302,15 @@ def write_outputs(tree: Path, out: Path) -> None:
         write_cli_outputs(cases[0], cases[0].cine.parent / "cli")
         write_noisy_roi(cases[0], cases[0].cine.parent / "cli")
         write_classifier_outputs(seed, out / f"seed{seed}" / "classify")
+        write_loss_digest(inputs.train_slices(seed, N_LOSS_CASES),
+                          out / f"seed{seed}" / "loss.sha256")
     write_netinfo_outputs(out / "netinfo")
 
 
 def artifacts_under(root: Path) -> set:
-    patterns = ("seed*/inputs.sha256", "seed*/*/out/*", "seed*/*/eval/*", "seed*/*/cli/**/*",
-                "seed*/classify/*.csv", "seed*/classify/*.json", "seed*/classify/model.sha256",
-                "netinfo/*")
+    patterns = ("seed*/inputs.sha256", "seed*/loss.sha256", "seed*/*/out/*", "seed*/*/eval/*",
+                "seed*/*/cli/**/*", "seed*/classify/*.csv", "seed*/classify/*.json",
+                "seed*/classify/model.sha256", "netinfo/*")
     found = [p for pattern in patterns for p in root.glob(pattern)]
     return {p.relative_to(root) for p in found if p.is_file()}
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import dilate_cross
-from .roi import canny_edges
+from .roi import canny_edges, canny_reach, nonzero_window
 from .volume import present_ids
 
 PROB_FLOOR = 1e-12  # floor inside log(); occurrences are reported
@@ -55,7 +55,8 @@ def class_contour(mask: np.ndarray, dilate_iters: int = 1) -> np.ndarray:
 
     Canny (sigma=1) on the mask, dilated ``dilate_iters`` times with a 3x3
     cross, intersected with the mask so contour sets stay subsets of their
-    class.
+    class. ``mask`` is a 2D mask or an ``(nx, ny, n)`` stack of them, each
+    detected on its own, against its own gradient maximum.
     """
     mask = np.asarray(mask).astype(bool)
     edges = canny_edges(mask.astype(np.float64), 1.0, 0.1, 0.2)
@@ -68,6 +69,18 @@ def build_weight_map(lbl: np.ndarray, dilate_iters: int = 1) -> WeightMap:
     Every voxel of class ``l`` receives ``|N| / |T_l|``; contour voxels
     additionally receive ``|N| / |C_l|``. A class with an empty contour
     set contributes no contour term (avoids division by zero).
+
+    The contours come from one :func:`class_contour` call on the masks of
+    every present class, stacked over a window: the foreground's box grown
+    by ``canny_reach(1.0) + dilate_iters``. This gives the whole slice's
+    bits. Outside the window the background mask is constant 1 and every
+    other mask is 0; within Canny's reach of a constant region, smoothing
+    gives that constant and Sobel gives exact zeros. So no pixel outside
+    the window has a gradient, each mask's gradient maximum is unchanged,
+    and the window's ``mode="nearest"`` border repeats the values the whole
+    slice has beyond it. The ``+ dilate_iters`` keeps the dilation of the
+    edges from being clipped at the window's edge. Class counts are taken
+    over the whole slice.
     """
     lbl = np.asarray(lbl)
     if lbl.ndim != 2:
@@ -75,19 +88,23 @@ def build_weight_map(lbl: np.ndarray, dilate_iters: int = 1) -> WeightMap:
     n_total = lbl.size
     class_term = np.zeros(lbl.shape, dtype=np.float64)
     contour_term = np.zeros(lbl.shape, dtype=np.float64)
-    class_counts = {}
-    contour_counts = {}
-    for label in present_ids(lbl):
-        label = int(label)
-        mask = lbl == label
-        t_count = int(mask.sum())
-        class_counts[label] = t_count
-        class_term[mask] = n_total / t_count
-        contour = class_contour(mask, dilate_iters)
-        c_count = int(contour.sum())
-        contour_counts[label] = c_count
-        if c_count > 0:
-            contour_term[contour] += n_total / c_count
+    labels = present_ids(lbl)
+    win = nonzero_window(lbl, canny_reach(1.0) + dilate_iters)
+    window = lbl[win]
+    masks = window[:, :, np.newaxis] == labels  # every class over the window, stacked
+    contours = class_contour(masks, dilate_iters)
+    counts = np.count_nonzero(masks, axis=(0, 1))
+    counts[labels == 0] += n_total - window.size  # the slice outside the window is background
+    ids = [int(label) for label in labels]
+    class_counts = dict(zip(ids, counts.tolist()))
+    contour_counts = dict(zip(ids, np.count_nonzero(contours, axis=(0, 1)).tolist()))
+    if window.size < n_total:
+        class_term[:] = n_total / class_counts[0]
+    class_in, contour_in = class_term[win], contour_term[win]  # views into the terms
+    for k, label in enumerate(class_counts):
+        class_in[masks[:, :, k]] = n_total / class_counts[label]
+        if contour_counts[label] > 0:
+            contour_in[contours[:, :, k]] += n_total / contour_counts[label]
     return WeightMap(
         values=class_term + contour_term,
         class_term=class_term,
@@ -109,11 +126,14 @@ def weight_map_volume(labels: np.ndarray, dilate_iters: int = 1) -> np.ndarray:
 def softmax(z: np.ndarray) -> np.ndarray:
     """Class-axis softmax of a (C, *spatial) logits field, max-stabilized."""
     z = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
+    peak = z.max(axis=0, keepdims=True)
+    # a NaN or +inf reaches the largest maximum, a -inf the minimum
+    if not (np.isfinite(peak.max(initial=0.0)) and np.isfinite(z.min(initial=0.0))):
         raise ValueError("logits must be finite")
-    shifted = z - z.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+    e = z - peak
+    np.exp(e, out=e)
+    e /= e.sum(axis=0, keepdims=True)
+    return e
 
 
 def _check_field(p: np.ndarray, t: np.ndarray) -> None:
@@ -226,28 +246,38 @@ def total_loss_grad(
     onehot = np.zeros_like(p)
     np.put_along_axis(onehot, t[np.newaxis], 1.0, axis=0)
 
-    grad = cfg.lam * w[np.newaxis] * (p - onehot)
+    grad = p - onehot
+    grad *= cfg.lam * w  # (lam * w) * (p - onehot)
 
     if cfg.gamma > 0:
         weights = minibatch_class_weights(t)
         w_sum = sum(weights.values())
         # dL_dice/dp, nonzero only for classes present in the batch
         dldp = np.zeros_like(p)
+        scratch = np.empty(p.shape[1:])
         for label, w_l in weights.items():
             g_l = onehot[label]
             p_l = p[label]
-            inter = (p_l * g_l).sum()
-            denom = (p_l**2 + g_l**2).sum() + cfg.epsilon
+            inter = np.multiply(p_l, g_l, out=scratch).sum()
+            np.square(p_l, out=scratch)
+            scratch += g_l  # g_l**2 == g_l: its values are 0 and 1
+            denom = scratch.sum() + cfg.epsilon
             if cfg.dice_two_factor:
                 num = 2.0 * inter + cfg.epsilon
-                dnum = 2.0 * g_l
+                dnum = np.multiply(2.0, g_l, out=scratch)
             else:
                 num = inter + cfg.epsilon
                 dnum = g_l
-            # quotient rule for d_l = num / denom
-            dd_dp = (dnum * denom - num * 2.0 * p_l) / denom**2
-            dldp[label] = -(w_l / w_sum) * dd_dp
+            # quotient rule for d_l = num / denom, with the row of dldp as
+            # its buffer: -(w_l / w_sum) * (dnum * denom - num * 2.0 * p_l) / denom**2
+            row = np.multiply(dnum, denom, out=dldp[label])
+            row -= np.multiply(num * 2.0, p_l, out=scratch)
+            row /= denom**2
+            row *= -(w_l / w_sum)
         # back through softmax: dz_k = p_k * (dP_k - sum_c dP_c p_c)
         inner = (dldp * p).sum(axis=0, keepdims=True)
-        grad += cfg.gamma * p * (dldp - inner)
+        dldp -= inner
+        p *= cfg.gamma
+        dldp *= p  # (gamma * p) * (dldp - inner)
+        grad += dldp
     return grad

@@ -5,8 +5,9 @@ freeze expected values. A cine fills all its frames in one ``np.where``.
 ``heart_slice`` paints a stack of slices from per-slice radius vectors and
 one pair of distance grids; a DCM phase is one such call. A MINF wall
 varies by pixel and by slice, so a MINF phase is painted a slice at a time
-rather than from a float64 volume of widths. Arrays are C-ordered, and each
-is handed to its volume with ``_owned=True``, so it is not copied again.
+rather than from a float64 volume of widths, each slice from the case's one
+pair of grids. Arrays are C-ordered, and each is handed to its volume with
+``_owned=True``, so it is not copied again.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ def pulsating_disk_cine(
                         spacing=(1.0, 1.0, 1.0, 1.0), _owned=True)
 
 
-def heart_slice(shape, lv_center, lv_radius, wall_px, rv_center=None, rv_radius=0.0) -> np.ndarray:
+def heart_slice(shape, lv_center, lv_radius, wall_px, rv_center=None, rv_radius=0.0, *,
+                _grids=None) -> np.ndarray:
     """Short-axis label slices: LV cavity, MYO ring and optional RV disk.
 
     With scalar radii this is one (nx, ny) slice. ``lv_radius`` and
@@ -71,14 +73,20 @@ def heart_slice(shape, lv_center, lv_radius, wall_px, rv_center=None, rv_radius=
     distance grids. ``wall_px`` is one wall width or an array of widths, read
     at each pixel, that broadcasts against the result: (nx, ny) for one
     slice; (n,), (nx, ny, 1) or (nx, ny, n) for a stack.
+
+    ``_grids`` is ``(d, d_rv)``, the distance grids of ``lv_center`` and
+    ``rv_center`` (None without an RV), for a caller that paints many slices
+    around the same centres; they are computed here when omitted.
     """
     radii = np.reshape(lv_radius, -1)  # a scalar is a stack of one
     lbl = np.zeros(shape + np.shape(lv_radius), dtype=np.uint8)
     stack = lbl.reshape(shape + radii.shape)
     walls = np.broadcast_to(wall_px, lbl.shape).reshape(stack.shape)
     rv_radii = np.broadcast_to(rv_radius, radii.shape)
-    d_rv = None if rv_center is None else _distance(shape, rv_center)
-    d = _distance(shape, lv_center)
+    if _grids is None:
+        _grids = (_distance(shape, lv_center),
+                  None if rv_center is None else _distance(shape, rv_center))
+    d, d_rv = _grids
     for z, r in enumerate(radii):
         sl = stack[:, :, z]
         if d_rv is not None and rv_radii[z] > 0:
@@ -155,15 +163,17 @@ def disease_cohort_case(seed: int, kind: str, shape=(96, 96)):
         dx, dy = _offsets(shape, center)
         thin = np.abs(np.angle(np.exp(1j * (np.arctan2(dy, dx) - phi)))) < theta / 2
 
+    grids = _distance(shape, center), _distance(shape, rv_center)  # for every slice of both phases
+
     def build(scale) -> LabelVolume:
         r, rv_r = r_ed * scale * taper, rv_r_ed * scale * taper
         if kind == "DCM":
             data = heart_slice(shape, center, r, _uniform_wall_for_area(r, area),
-                               rv_center=rv_center, rv_radius=rv_r)
+                               rv_center=rv_center, rv_radius=rv_r, _grids=grids)
         else:  # a slice at a time, with no float64 volume of widths
             base = _base_wall_for_area(r, area, theta / (2 * np.pi), thin_w)
             data = np.stack([heart_slice(shape, center, r[z], np.where(thin, thin_w, base[z]),
-                                         rv_center=rv_center, rv_radius=rv_r[z])
+                                         rv_center=rv_center, rv_radius=rv_r[z], _grids=grids)
                              for z in range(n_slices)], axis=2)
         return LabelVolume(data=data, spacing=(sxy, sxy, sz), _owned=True)
 
