@@ -19,35 +19,40 @@ import numpy as np
 def _best_split(X, y, idx, counts, node_gini, max_features, n_classes, rng):
     """Search every sampled feature's cuts at once, in one ``(n, m)`` block.
 
-    Each feature's best cut is the first maximum of its gains over the cuts
-    between distinct values; the first feature wins, and a later one replaces
-    it only when its gain is larger by more than 1e-12.
+    The m features are drawn first (``rng.choice``, so the generator moves as
+    in a per-feature search). Each column is sorted, and each row's class is
+    a one-hot row of an identity matrix, so cumulative sums give the class
+    counts left of every cut. A cut lies between two sorted values where
+    ``sv[1:] > sv[:-1]``, which is ``np.diff(sv) > 0`` with NaN and +-inf
+    too. Each feature's best cut is the first maximum of its gains over its
+    cuts; the first feature wins, and a later one replaces it only when its
+    gain is larger by more than 1e-12.
     """
     n = len(idx)
     features = rng.choice(X.shape[1], size=max_features, replace=False)
-    vals = X[np.ix_(idx, features)]
+    vals = X[idx][:, features]
     order = np.argsort(vals, axis=0, kind="stable")
-    sv = np.take_along_axis(vals, order, axis=0)
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y[idx]] = 1.0
-    left_counts = np.cumsum(onehot[order], axis=0)[:-1]  # class counts left of each cut
+    cols = np.arange(max_features)
+    sv = vals[order, cols]
+    onehot = np.eye(n_classes)[y[idx][order]]  # (n, m, classes), in sorted order
+    left_counts = np.cumsum(onehot, axis=0)[:-1]  # class counts left of each cut
     left_n = np.arange(1.0, n)[:, None]
     right_counts = counts - left_counts
     right_n = n - left_n
     gl = 1.0 - ((left_counts / left_n[:, :, None]) ** 2).sum(axis=2)
     gr = 1.0 - ((right_counts / right_n[:, :, None]) ** 2).sum(axis=2)
     gains = node_gini - (left_n * gl + right_n * gr) / n
-    cuts = np.diff(sv, axis=0) > 0  # a cut lies between two distinct values
-    gains[~cuts] = -np.inf  # so a feature without a cut never wins
+    gains[~(sv[1:] > sv[:-1])] = -np.inf  # so a feature without a cut never wins
+    ks = np.argmax(gains, axis=0)
     best_gain = 0.0
     best = None
-    for j, k in enumerate(np.argmax(gains, axis=0)):
-        if gains[k, j] > best_gain + 1e-12:
-            best_gain = float(gains[k, j])
-            best = (j, k)
+    for j, gain in enumerate(gains[ks, cols].tolist()):
+        if gain > best_gain + 1e-12:
+            best_gain = gain
+            best = j
     if best is None:
         return None
-    j, k = best
+    j, k = best, ks[best]
     threshold = 0.5 * (sv[k, j] + sv[k + 1, j])
     mask = vals[:, j] <= threshold
     return int(features[j]), float(threshold), best_gain, idx[mask], idx[~mask]

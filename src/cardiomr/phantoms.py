@@ -1,13 +1,14 @@
 """Synthetic cardiac phantoms for tests, demos and calibration.
 
 Everything here is deterministic given the seed so downstream checks can
-freeze expected values. A cine fills all its frames in one ``np.where``.
-``heart_slice`` paints a stack of slices from per-slice radius vectors and
-one pair of distance grids; a DCM phase is one such call. A MINF wall
-varies by pixel and by slice, so a MINF phase is painted a slice at a time
-rather than from a float64 volume of widths, each slice from the case's one
-pair of grids. Arrays are C-ordered, and each is handed to its volume with
-``_owned=True``, so it is not copied again.
+freeze expected values. A cine copies its background into every frame in
+one broadcast and paints the disk with one ``np.where`` over the bounding
+box of its largest radius. ``heart_slice`` paints a stack of slices from
+per-slice radius vectors and one pair of distance grids; a DCM phase is one
+such call. A MINF wall varies by pixel and by slice, so a MINF phase is
+painted a slice at a time rather than from a float64 volume of widths, each
+slice from the case's one pair of grids. Arrays are C-ordered, and each is
+handed to its volume with ``_owned=True``, so it is not copied again.
 """
 
 from __future__ import annotations
@@ -57,8 +58,14 @@ def pulsating_disk_cine(
     r_mid = 0.5 * (radius_range[0] + radius_range[1])
     r_amp = 0.5 * (radius_range[1] - radius_range[0])
     radii = [r_mid + r_amp * np.cos(2 * np.pi * t / n_frames) for t in range(n_frames)]
-    d = _distance(shape, center)[:, :, np.newaxis]
-    frames = np.where(d <= np.array(radii), np.float32(1.0), background[:, :, np.newaxis])
+    frames = np.empty((nx, ny, n_frames), dtype=np.float32)
+    frames[...] = background[:, :, np.newaxis]
+    d = _distance(shape, center)
+    xs, ys = np.nonzero(d <= max(radii))  # outside this box every frame is background
+    if xs.size:
+        box = np.s_[xs.min():xs.max() + 1, ys.min():ys.max() + 1]
+        frames[box] = np.where(d[box][:, :, np.newaxis] <= np.array(radii), np.float32(1.0),
+                               background[box][:, :, np.newaxis])
     return ScalarVolume(data=frames.reshape(nx, ny, 1, n_frames),
                         spacing=(1.0, 1.0, 1.0, 1.0), _owned=True)
 

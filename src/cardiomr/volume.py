@@ -332,16 +332,27 @@ def load_volume(path, kind: str):
 
 
 def save_volume(vol, path) -> None:
-    """Write a volume in the raw header + little-endian payload format."""
+    """Write a volume in the raw header + little-endian payload format.
+
+    The payload goes out in file order (x fastest) whatever the array's
+    memory order: an F-contiguous array is written as a view of itself, and
+    any other is copied one y row at a time, all x, z and t of it, into one
+    buffer already of the file's element type, so the float32 or uint8 cast
+    happens in that copy and the peak is one payload. Each row's copy stays
+    in cache, where a whole-array transpose does not. A volume with an
+    empty axis is refused before the file is opened: ``load_volume``
+    refuses such a file.
+    """
     path = Path(path)
     if isinstance(vol, ScalarVolume):
-        data = np.asarray(vol.data, dtype="<f4")
-        etype = "FLOAT32"
+        dtype, etype = "<f4", "FLOAT32"
     elif isinstance(vol, LabelVolume):
-        data = np.asarray(vol.data, dtype="u1")
-        etype = "UINT8"
+        dtype, etype = "u1", "UINT8"
     else:
         raise TypeError(f"cannot save object of type {type(vol).__name__}")
+    data = vol.data
+    if 0 in data.shape:
+        raise ValueError(f"cannot save a volume with an empty axis: shape {data.shape}")
     dims = " ".join(str(d) for d in data.shape)
     spacing = " ".join(repr(float(s)) for s in vol.spacing)
     header = (
@@ -352,9 +363,15 @@ def save_volume(vol, path) -> None:
         f"ElementDataFile = LOCAL\n"
         f"\n"
     )
+    if data.flags.f_contiguous:
+        payload = np.ravel(np.asarray(data, dtype), order="F")  # a view without a cast
+    else:
+        payload = np.empty(data.shape[::-1], dtype)  # C order over reversed axes: file order
+        for y in range(data.shape[1]):
+            payload[..., y, :] = data[:, y].T
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ravel(data, order="F"))  # a view when data is F-contiguous
+        fh.write(payload)
 
 
 def normalize_slicewise(v: ScalarVolume) -> ScalarVolume:

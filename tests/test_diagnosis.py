@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cardiomr.diagnosis import (
+    DISEASE_LABELS,
     CvScore,
     Dataset,
     GaussianNB,
@@ -213,6 +214,17 @@ def _tied_data(rng, n, d, n_classes):
     return X, rng.integers(0, n_classes, size=n)
 
 
+def _nan_inf_data(rng, n, d, n_classes):
+    """``_tied_data`` with the class in column 0 but NaN in a third of its
+    rows, +-inf among a few values in column 1, and only -inf, +inf and NaN
+    in column 2."""
+    X, y = _tied_data(rng, n, d, n_classes)
+    X[:, 0] = np.where(rng.random(n) < 1 / 3, np.nan, y)
+    X[:, 1] = rng.choice([-np.inf, -1.0, 0.0, 2.0, np.inf], size=n)
+    X[:, 2] = rng.choice([-np.inf, np.inf, np.nan], size=n)
+    return X, y
+
+
 class TestBestSplitOracle:
     @pytest.mark.parametrize("d", [1, 2, 5, 16])
     @pytest.mark.parametrize("m", ["one", "sqrt", "all"])
@@ -245,6 +257,43 @@ class TestBestSplitOracle:
         got = RandomForest(n_trees=40, seed=3).fit(X, y)
         monkeypatch.setattr(forest, "_best_split", reference_best_split)
         want = RandomForest(n_trees=40, seed=3).fit(X, y)
+        for name in ("roots_", "feature_", "threshold_", "right_", "leaf_class_",
+                     "feature_importances_", "feature_importances_std_"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("n_classes", [2, 5])
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_equals_per_feature_search_with_nan_and_inf(self, m, n_classes):
+        rng = np.random.default_rng(10 * m + n_classes)
+        X, y = _nan_inf_data(rng, 40, 6, n_classes)
+        features = set()
+        for node in range(150):
+            size = 2 if node % 5 == 0 else int(rng.integers(2, 41))
+            idx = rng.integers(0, 40, size=size)
+            counts = np.bincount(y[idx], minlength=n_classes)
+            p = counts / size
+            node_gini = 1.0 - float((p * p).sum())
+            with np.errstate(invalid="ignore"):  # inf - inf, in a diff or a midpoint
+                want = reference_best_split(X, y, idx, counts, node_gini, m, n_classes,
+                                            np.random.default_rng(node))
+                got = forest._best_split(X, y, idx, counts, node_gini, m, n_classes,
+                                         np.random.default_rng(node))
+            if want is None:
+                assert got is None
+                continue
+            features.add(got[0])
+            assert repr(got[:3]) == repr(want[:3])  # a threshold may be inf or NaN
+            assert np.array_equal(got[3], want[3]) and np.array_equal(got[4], want[4])
+        assert {0, 1, 2} <= features
+
+    def test_five_class_forest_equals_forest_of_per_feature_searches(self, monkeypatch):
+        X, y = _tied_data(np.random.default_rng(13), 90, 9, len(DISEASE_LABELS))
+        X[::7, 0] = np.nan  # NaN rows go right of every cut
+        labels = np.array(DISEASE_LABELS)[y]
+        got = RandomForest(n_trees=40, seed=4).fit(X, labels)
+        monkeypatch.setattr(forest, "_best_split", reference_best_split)
+        want = RandomForest(n_trees=40, seed=4).fit(X, labels)
+        assert len(got.classes_) == 5
         for name in ("roots_", "feature_", "threshold_", "right_", "leaf_class_",
                      "feature_importances_", "feature_importances_std_"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name

@@ -111,6 +111,60 @@ class TestSavePayload:
         assert out.read_bytes() == src.read_bytes()
 
 
+# Larger than the shapes above, with 1 to 97 entries along x and y
+LARGER_SHAPES = [(70, 45, 3, 4), (33, 65, 2, 1), (1, 97, 1, 3)]
+
+
+def laid_out(base, order):
+    """``base`` in C order, F order, with permuted axes, or as a strided view."""
+    if order == "F":
+        return np.asfortranarray(base)
+    if order == "permuted":
+        return base.transpose(1, 0, *reversed(range(2, base.ndim)))
+    if order == "strided":
+        big = np.zeros((2 * base.shape[0],) + base.shape[1:-1] + (2 * base.shape[-1],),
+                       base.dtype)
+        big[::2, ..., ::2] = base
+        return big[::2, ..., ::2]
+    return base
+
+
+class TestSaveFileOrder:
+    @pytest.mark.parametrize("order", ["C", "F", "permuted", "strided"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", LARGER_SHAPES)
+    def test_scalar_bytes_match_the_transposing_writer(self, tmp_path, shape, dtype, order):
+        base = (np.random.default_rng(16).standard_normal(shape) * 100).astype(dtype)
+        src = laid_out(base, order)
+        f = tmp_path / "v.vol"
+        save_volume(ScalarVolume(data=src, spacing=(1.25, 1.25, 8.0, 30.0)), f)
+        assert payload_of(f) == reference_payload(src, "<f4")
+
+    @pytest.mark.parametrize("order", ["C", "F", "permuted", "strided"])
+    @pytest.mark.parametrize("shape", LARGER_SHAPES + [s[:3] for s in LARGER_SHAPES])
+    def test_label_bytes_match_the_transposing_writer(self, tmp_path, shape, order):
+        src = laid_out(np.random.default_rng(17).integers(0, 4, shape).astype(np.uint8), order)
+        f = tmp_path / "l.vol"
+        save_volume(LabelVolume(data=src, spacing=(1.0,) * len(shape)), f)
+        assert payload_of(f) == reference_payload(src, "u1")
+
+    def test_c_ordered_float64_peaks_at_one_float32_payload(self, tmp_path):
+        vol = ScalarVolume(data=np.random.default_rng(18).standard_normal((96, 80, 6, 10)))
+        assert vol.data.dtype == np.float64 and vol.data.flags.c_contiguous
+        peak, _ = traced_peak(lambda: save_volume(vol, tmp_path / "v.vol"))
+        assert peak <= 1.25 * vol.data.size * 4
+
+    @pytest.mark.parametrize("vol", [
+        ScalarVolume(data=np.zeros((4, 0, 2, 3), np.float32)),
+        LabelVolume(data=np.zeros((0, 3, 2), np.uint8)),
+    ], ids=["scalar", "label"])
+    def test_empty_axis_is_refused_before_the_file_is_opened(self, tmp_path, vol):
+        f = tmp_path / "v.vol"
+        with pytest.raises(ValueError, match=re.escape(str(vol.data.shape))):
+            save_volume(vol, f)
+        assert not f.exists()
+
+
 class TestLoadSave:
     def test_small_file_x_fastest_order(self, tmp_path):
         payload = np.array([0, 1, 2, 3], dtype="<f4").tobytes()
