@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import LabelVolume, ScalarVolume
+from .volume import LabelVolume, ScalarVolume, check_spacing
 
 
 _ZERO_GRID = (((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)))
@@ -124,8 +124,7 @@ def _backward_map(p: AugmentParams, shape, spacing):
     Rotate by -angle and unzoom about the center, then unshift; the
     elastic displacement is added in source space.
     """
-    if any(not 0 < s < np.inf for s in spacing[:2]):
-        raise ValueError(f"spacing must be positive and finite, got {tuple(spacing)}")
+    spacing = check_spacing(spacing[:2], 2)
     if p.is_identity_geometry:
         return None
     nx, ny = shape

@@ -26,7 +26,9 @@ def _best_split(X, y, idx, counts, node_gini, max_features, n_classes, rng):
     ``sv[1:] > sv[:-1]``, which is ``np.diff(sv) > 0`` with NaN and +-inf
     too. Each feature's best cut is the first maximum of its gains over its
     cuts; the first feature wins, and a later one replaces it only when its
-    gain is larger by more than 1e-12.
+    gain is larger by more than 1e-12. The threshold is the cut's midpoint,
+    or its lower value where the midpoint is not below the upper one (two
+    adjacent floats, or +inf above), so neither child is empty.
     """
     n = len(idx)
     features = rng.choice(X.shape[1], size=max_features, replace=False)
@@ -54,6 +56,8 @@ def _best_split(X, y, idx, counts, node_gini, max_features, n_classes, rng):
         return None
     j, k = best, ks[best]
     threshold = 0.5 * (sv[k, j] + sv[k + 1, j])
+    if not threshold < sv[k + 1, j]:
+        threshold = sv[k, j]
     mask = vals[:, j] <= threshold
     return int(features[j]), float(threshold), best_gain, idx[mask], idx[~mask]
 

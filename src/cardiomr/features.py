@@ -149,7 +149,7 @@ def region_contour(mask: np.ndarray) -> np.ndarray:
     return mask & ~erode(mask, square=True)
 
 
-def mwt_per_slice(lbl_slice: np.ndarray, spacing, myo_id: int = 2):
+def mwt_per_slice(lbl_slice: np.ndarray, spacing):
     """Wall thickness set of one short-axis slice, or None without a cavity.
 
     Epicardial region = hole-filled MYO mask; cavity = filled minus MYO;
@@ -161,7 +161,7 @@ def mwt_per_slice(lbl_slice: np.ndarray, spacing, myo_id: int = 2):
     lbl = np.asarray(lbl_slice)
     stack = lbl if lbl.ndim == 3 else lbl[:, :, np.newaxis]
     results: List[Optional[MwtSlice]] = [None] * stack.shape[2]
-    myo = stack == myo_id
+    myo = stack == ACDC_SCHEMA.id_of("MYO")
     # every region lies in MYO's box over all slices; grown by one pixel,
     # each window border row or column is the slice border or background
     # joined to it outside the box, so every rim and hole is as on the slice
@@ -186,11 +186,10 @@ def mwt_result(lbl: LabelVolume) -> MWTResult:
     """Per-slice wall thickness over a 3D label volume."""
     if lbl.data.ndim != 3:
         raise ValueError("mwt_result expects a 3D label volume")
-    myo_id = ACDC_SCHEMA.id_of("MYO")
-    has_myo = (lbl.data == myo_id).any(axis=(0, 1))
+    has_myo = (lbl.data == ACDC_SCHEMA.id_of("MYO")).any(axis=(0, 1))
     slices: List[MwtSlice] = []
     excluded: List[tuple] = []
-    for z, entry in enumerate(mwt_per_slice(lbl.data, lbl.spacing[:2], myo_id)):
+    for z, entry in enumerate(mwt_per_slice(lbl.data, lbl.spacing[:2])):
         if entry is not None:
             slices.append(entry)
         else:

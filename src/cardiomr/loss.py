@@ -136,11 +136,19 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e
 
 
-def _check_field(p: np.ndarray, t: np.ndarray) -> None:
+def _check_field(p, t, w=None) -> tuple:
+    """``p`` and ``w`` as float64 and ``t`` as an array, refused unless they
+    fit together; every loss term and the gradient take their fields here."""
+    p = np.asarray(p, dtype=np.float64)
+    t = np.asarray(t)
+    w = None if w is None else np.asarray(w, dtype=np.float64)
     if p.shape[1:] != t.shape:
         raise ValueError(f"probability field {p.shape} does not match targets {t.shape}")
     if t.min() < 0 or t.max() >= p.shape[0]:
         raise ValueError("target labels exceed the class axis")
+    if w is not None and w.shape != t.shape:
+        raise ValueError(f"weight map {w.shape} does not match targets {t.shape}")
+    return p, t, w
 
 
 def weighted_ce(p: np.ndarray, t: np.ndarray, w: np.ndarray, diagnostics: dict | None = None) -> float:
@@ -150,12 +158,7 @@ def weighted_ce(p: np.ndarray, t: np.ndarray, w: np.ndarray, diagnostics: dict |
     ``PROB_FLOOR``; the number of floored voxels is reported through the
     optional ``diagnostics`` dict under ``"clamped"``.
     """
-    p = np.asarray(p, dtype=np.float64)
-    t = np.asarray(t)
-    w = np.asarray(w, dtype=np.float64)
-    _check_field(p, t)
-    if w.shape != t.shape:
-        raise ValueError(f"weight map {w.shape} does not match targets {t.shape}")
+    p, t, w = _check_field(p, t, w)
     p_target = np.take_along_axis(p, t[np.newaxis], axis=0)[0]
     clamped = int(np.count_nonzero(p_target < PROB_FLOOR))
     if diagnostics is not None:
@@ -190,9 +193,7 @@ def minibatch_class_weights(t: np.ndarray) -> dict:
 def dice_loss(p: np.ndarray, t: np.ndarray, cfg: LossConfig | None = None) -> float:
     """One minus the class-weighted mean soft Dice over classes present in t."""
     cfg = cfg or LossConfig()
-    p = np.asarray(p, dtype=np.float64)
-    t = np.asarray(t)
-    _check_field(p, t)
+    p, t, _ = _check_field(p, t)
     weights = minibatch_class_weights(t)
     num = 0.0
     den = 0.0
@@ -237,11 +238,7 @@ def total_loss_grad(
     is differentiated through the smoothed quotient and the softmax.
     """
     cfg = cfg or LossConfig()
-    z = np.asarray(z, dtype=np.float64)
-    t = np.asarray(t)
-    w = np.asarray(w, dtype=np.float64)
-    p = softmax(z)
-    _check_field(p, t)
+    p, t, w = _check_field(softmax(z), t, w)
 
     onehot = np.zeros_like(p)
     np.put_along_axis(onehot, t[np.newaxis], 1.0, axis=0)

@@ -29,7 +29,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .kernels import erode
-from .volume import ACDC_SCHEMA, LabelVolume
+from .volume import ACDC_SCHEMA, LabelVolume, check_spacing
 
 # Above this many (A \ B, boundary of B) pairs a directed distance comes
 # from a KD-tree over the boundary. At 25e6 pairs brute force (3.8-7.5 ns
@@ -180,9 +180,9 @@ def hausdorff_mm(pred, gt, spacing, method: str = "kdtree") -> float:
     """Symmetric Hausdorff distance between two binary masks, in mm.
 
     Coordinates are voxel indices scaled by the per-axis spacing, which
-    must be finite and positive. Over whole masks the directed distances
-    are attained at boundary voxels, so this equals the contour-based value
-    without needing a contour-extraction convention.
+    :func:`~cardiomr.volume.check_spacing` checks. Over whole masks the
+    directed distances are attained at boundary voxels, so this equals the
+    contour-based value without needing a contour-extraction convention.
 
     The default method (``"kdtree"``, named for its fallback) measures
     A \\ B against the face boundary of B in both directions, by brute force
@@ -193,11 +193,7 @@ def hausdorff_mm(pred, gt, spacing, method: str = "kdtree") -> float:
     p, g = _as_bool(pred), _as_bool(gt)
     if p.shape != g.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
-    if len(spacing) != p.ndim:
-        raise ValueError(f"spacing needs {p.ndim} components, got {len(spacing)}")
-    scale = np.asarray(spacing, dtype=np.float64)
-    if not np.all(np.isfinite(scale) & (scale > 0)):
-        raise ValueError(f"spacing must be finite and positive, got {tuple(spacing)}")
+    scale = np.asarray(check_spacing(spacing, p.ndim))
     if not p.any() or not g.any():
         raise UndefinedDistanceError("Hausdorff distance needs two non-empty masks")
     if method not in ("kdtree", "brute"):

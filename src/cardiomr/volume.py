@@ -2,8 +2,9 @@
 
 Scalar volumes are 4D ``(nx, ny, nz, nt)`` float32 grids with per-axis
 physical spacing (mm for x/y/z, ms or unitless for t). Label volumes are
-3D or 4D uint8 grids over the ACDC-2017 classes; :data:`ACDC_SCHEMA` is the
-one table of which id is which class (0=BG, 1=RV, 2=MYO, 3=LV).
+3D or 4D uint8 grids over the ACDC-2017 classes; :class:`LabelSchema` is the
+fixed table of which id is which class (0=BG, 1=RV, 2=MYO, 3=LV).
+:func:`check_spacing` is the one spacing rule of every module.
 Voxel storage order is x-fastest throughout: element ``(x, y, z, t)`` sits
 at flat index ``x + nx*(y + ny*(z + nz*t))``.
 """
@@ -32,39 +33,32 @@ _HEADER_KEYS = ("NDims", "DimSize", "ElementSpacing", "ElementType", "ElementDat
 
 @dataclass(frozen=True)
 class LabelSchema:
-    """Ordered (id, name) pairs; id 0 is reserved for background."""
+    """The fixed ACDC-2017 label table, 0=BG, 1=RV, 2=MYO, 3=LV; it takes no
+    arguments. ``id_of`` and ``name_of`` raise ``KeyError`` outside it."""
 
-    entries: tuple = ((0, "BG"), (1, "RV"), (2, "MYO"), (3, "LV"))
-
-    def __post_init__(self):
-        ids = [i for i, _ in self.entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("label ids must be unique")
-        if 0 not in ids:
-            raise ValueError("label id 0 (background) is required")
-
-    @property
-    def ids(self):
-        return tuple(i for i, _ in self.entries)
+    ids = (0, 1, 2, 3)
+    foreground_ids = (1, 2, 3)
+    _names = {0: "BG", 1: "RV", 2: "MYO", 3: "LV"}
+    _ids = {name: i for i, name in _names.items()}
 
     def id_of(self, name: str) -> int:
-        for i, n in self.entries:
-            if n == name:
-                return i
-        raise KeyError(name)
+        return self._ids[name]
 
     def name_of(self, label_id: int) -> str:
-        for i, n in self.entries:
-            if i == label_id:
-                return n
-        raise KeyError(label_id)
-
-    @property
-    def foreground_ids(self):
-        return tuple(i for i, _ in self.entries if i != 0)
+        return self._names[label_id]
 
 
 ACDC_SCHEMA = LabelSchema()
+
+
+def check_spacing(spacing, n: int) -> tuple:
+    """The ``n`` per-axis voxel spacings as floats, or a ``ValueError`` unless
+    each of ``n`` is positive and finite. Volumes, volume headers, Hausdorff
+    distances and augmentation all check a spacing here."""
+    values = tuple(float(s) for s in spacing)
+    if len(values) != n or not all(0 < s < math.inf for s in values):
+        raise ValueError(f"spacing must be positive and finite, {n} values, got {tuple(spacing)}")
+    return values
 
 
 def _locked(arr: np.ndarray, source, owned: bool) -> np.ndarray:
@@ -123,9 +117,7 @@ class ScalarVolume:
             raise ValueError(f"scalar volume must be 4D, got {data.ndim}D")
         if not _all_finite(data):
             raise ValueError("scalar volume contains non-finite values")
-        spacing = tuple(float(s) for s in self.spacing)
-        if len(spacing) != 4 or any(not 0 < s < math.inf for s in spacing):
-            raise ValueError(f"spacing must be 4 positive finite reals, got {self.spacing}")
+        spacing = check_spacing(self.spacing, 4)
         object.__setattr__(self, "data", _locked(data, self.data, _owned))
         object.__setattr__(self, "spacing", spacing)
 
@@ -167,11 +159,7 @@ class LabelVolume:
                    for v in present_ids(data) if v not in ACDC_SCHEMA.ids]
             if bad:
                 raise ValueError(f"labels {bad} are not in the schema {ACDC_SCHEMA.ids}")
-        spacing = tuple(float(s) for s in self.spacing)
-        if len(spacing) != data.ndim or any(not 0 < s < math.inf for s in spacing):
-            raise ValueError(
-                f"spacing must be {data.ndim} positive finite reals, got {self.spacing}"
-            )
+        spacing = check_spacing(self.spacing, data.ndim)
         data = data.astype(np.uint8, copy=False)
         object.__setattr__(self, "data", _locked(data, self.data, _owned))
         object.__setattr__(self, "spacing", spacing)
@@ -186,16 +174,13 @@ class LabelVolume:
 
 @dataclass(frozen=True)
 class Patch:
-    """Window extracted from a volume, zero-padded where it exits the grid."""
+    """Window extracted from a volume, zero-padded where it exits the grid;
+    :func:`crop_patch` makes it and checks its size."""
 
     data: np.ndarray
     center: tuple
     size: tuple
     spacing: tuple
-
-    def __post_init__(self):
-        if self.size[0] <= 0 or self.size[1] <= 0:
-            raise ValueError("patch size must be positive")
 
 
 # Bytes read at a time while looking for the blank line that ends a header.
@@ -265,16 +250,9 @@ def _parse_header(header, path):
         )
 
     try:
-        spacing = tuple(float(v) for v in fields["ElementSpacing"].split())
-    except ValueError:
-        raise VolumeFormatError(
-            f"{path}: ElementSpacing must be reals: {fields['ElementSpacing']!r}"
-        )
-    if len(spacing) != ndims or any(not 0 < s < math.inf for s in spacing):
-        raise VolumeFormatError(
-            f"{path}: ElementSpacing must be {ndims} positive finite reals,"
-            f" got {fields['ElementSpacing']!r}"
-        )
+        spacing = check_spacing(fields["ElementSpacing"].split(), ndims)
+    except ValueError as e:  # a value that is not a real, too
+        raise VolumeFormatError(f"{path}: ElementSpacing {fields['ElementSpacing']!r}: {e}")
 
     etype = fields["ElementType"]
     if etype not in _ELEMENT_TYPES:

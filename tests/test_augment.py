@@ -54,6 +54,12 @@ class TestApplyAugment:
             with pytest.raises(ValueError, match="spacing must be positive and finite"):
                 apply_augment(img, lbl, sample_params(1), spacing=spacing)
 
+    @pytest.mark.parametrize("params", [sample_params(1), AugmentParams()])
+    def test_one_value_spacing_is_refused_by_name(self, image_and_labels, params):
+        img, lbl = image_and_labels
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            apply_augment(img, lbl, params, spacing=(1.0,))
+
     def test_zoom_doubles_disk_radius(self):
         img = disk_mask((80, 80), (39.5, 39.5), 10).astype(float)
         out, _ = apply_augment(img, None, AugmentParams(zoom=2.0))

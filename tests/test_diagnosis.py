@@ -197,6 +197,8 @@ def reference_best_split(X, y, idx, counts, node_gini, max_features, n_classes, 
         if gains[k] > best_gain + 1e-12:
             best_gain = float(gains[k])
             threshold = 0.5 * (sv[distinct[k]] + sv[distinct[k] + 1])
+            if not threshold < sv[distinct[k] + 1]:
+                threshold = sv[distinct[k]]
             mask = vals <= threshold
             best = (int(f), float(threshold), best_gain, idx[mask], idx[~mask])
     return best
@@ -251,6 +253,18 @@ class TestBestSplitOracle:
             assert [type(v) for v in got[:3]] == [int, float, float]
             assert np.array_equal(got[3], want[3]) and np.array_equal(got[4], want[4])
         assert splits > 50
+
+    @pytest.mark.parametrize("upper", [np.nextafter(1.0 + 2.0**-52, 2.0), np.inf])
+    def test_threshold_below_the_upper_value_leaves_no_child_empty(self, upper):
+        """A midpoint that rounds up onto the upper value, or is inf, would
+        send every row left; the lower value is the threshold instead."""
+        lower = 1.0 + 2.0**-52 if upper < np.inf else 0.0
+        X = np.array([[lower], [upper], [lower], [upper]])
+        y = np.array([0, 1, 0, 1])
+        f, threshold, gain, left, right = forest._best_split(
+            X, y, np.arange(4), np.array([2, 2]), 0.5, 1, 2, np.random.default_rng(0))
+        assert (f, threshold, gain) == (0, lower, 0.5)
+        assert left.tolist() == [0, 2] and right.tolist() == [1, 3]
 
     def test_forest_equals_forest_of_per_feature_searches(self, monkeypatch):
         X, y = _tied_data(np.random.default_rng(12), 90, 9, 4)

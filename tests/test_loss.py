@@ -245,6 +245,14 @@ def fd_gradient(z, t, w, cfg, h=1e-4):
 
 
 class TestTotalLossGrad:
+    @pytest.mark.parametrize("loss", [total_loss, total_loss_grad])
+    @pytest.mark.parametrize("shape", [(8,), (1, 8), (8, 1), (4, 8, 8)])
+    def test_refuses_a_weight_map_the_loss_refuses(self, loss, shape):
+        """A weight map that only broadcasts to the targets is refused."""
+        z, t = random_field(np.random.default_rng(3), 4, (8, 8))
+        with pytest.raises(ValueError, match=r"weight map \(.*\) does not match targets \(8, 8\)"):
+            loss(z, t, np.ones(shape))
+
     def test_saturated_one_hot_prediction_has_tiny_gradient(self):
         t = np.array([[0, 1], [2, 0]])
         z = np.zeros((3, 2, 2))

@@ -316,11 +316,19 @@ class TestTypes:
         with pytest.raises(ValueError, match="not in the schema"):
             LabelVolume(data=np.full((2, 2, 1), 7, dtype=np.uint8))
 
-    def test_schema_requires_background_and_unique_ids(self):
-        with pytest.raises(ValueError):
-            LabelSchema(entries=((1, "A"), (1, "B")))
-        with pytest.raises(ValueError):
-            LabelSchema(entries=((1, "A"), (2, "B")))
+    def test_schema_is_the_fixed_acdc_table(self):
+        schema = LabelSchema()
+        assert schema.ids == (0, 1, 2, 3)
+        assert schema.foreground_ids == (1, 2, 3)
+        for label_id, name in enumerate(("BG", "RV", "MYO", "LV")):
+            assert schema.id_of(name) == label_id
+            assert schema.name_of(label_id) == name
+        with pytest.raises(KeyError):
+            schema.id_of("LA")
+        with pytest.raises(KeyError):
+            schema.name_of(4)
+        with pytest.raises(TypeError):
+            LabelSchema(entries=((0, "BG"), (1, "A")))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_scalar_never_aliases_the_callers_array(self, dtype):
