@@ -69,7 +69,9 @@ class Dataset:
 
 @dataclass
 class Preprocessor:
-    """Median imputation followed by per-feature z-scoring."""
+    """Median imputation followed by per-feature z-scoring. ``fit`` refuses,
+    by index, every column whose median, mean or std is not finite (huge
+    values overflow them), which z-scoring would turn into zeros or NaN."""
 
     medians: Optional[np.ndarray] = None
     means: Optional[np.ndarray] = None
@@ -77,11 +79,16 @@ class Preprocessor:
 
     def fit(self, X) -> "Preprocessor":
         X = np.asarray(X, dtype=np.float64)
-        self.medians = np.nanmedian(X, axis=0)
-        self.medians = np.where(np.isnan(self.medians), 0.0, self.medians)
-        filled = self._impute(X)
-        self.means = filled.mean(axis=0)
-        stds = filled.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.medians = np.nanmedian(X, axis=0)
+            self.medians = np.where(np.isnan(self.medians), 0.0, self.medians)
+            filled = self._impute(X)
+            self.means = filled.mean(axis=0)
+            stds = filled.std(axis=0)
+        bad = np.flatnonzero(~np.isfinite([self.medians, self.means, stds]).all(axis=0))
+        if bad.size:
+            raise ValueError(
+                f"feature column(s) {bad.tolist()}: median, mean or std is not finite")
         self.stds = np.where(stds > 0, stds, 1.0)
         return self
 

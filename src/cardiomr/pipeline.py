@@ -184,7 +184,8 @@ def probs_to_labels(prob_volume: ScalarVolume) -> LabelVolume:
 def roi_stage(cine_path, cfg: RoiConfig, patch_path=None) -> dict:
     """Load a cine, locate its ROI and crop the patch around it.
 
-    Saves the patch to ``patch_path`` when given and returns
+    Saves the patch, the scalar volume :func:`crop_patch` returns with the
+    cine's spacing, to ``patch_path`` when given and returns
     ``{"center", "patch_size"}``. When no slice yields a Hough circle (a
     static cine, say), the center falls back to ``(nx // 2, ny // 2)`` and
     the entry gains ``"fallback": "image_center"``.
@@ -199,8 +200,7 @@ def roi_stage(cine_path, cfg: RoiConfig, patch_path=None) -> dict:
     entry["center"] = list(center)
     patch = crop_patch(cine, center, cfg.patch_size)
     if patch_path is not None:
-        save_volume(ScalarVolume(data=patch.data, spacing=cine.spacing, _owned=True),
-                    patch_path)
+        save_volume(patch, patch_path)
     return entry
 
 

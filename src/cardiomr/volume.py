@@ -1,4 +1,4 @@
-"""Volume data model, raw file format, normalization and patch extraction.
+"""Volume data model, raw file format, normalization and fixed-size windows.
 
 Scalar volumes are 4D ``(nx, ny, nz, nt)`` float32 grids with per-axis
 physical spacing (mm for x/y/z, ms or unitless for t). Label volumes are
@@ -170,17 +170,6 @@ class LabelVolume:
 
     def class_mask(self, label_id: int) -> np.ndarray:
         return self.data == label_id
-
-
-@dataclass(frozen=True)
-class Patch:
-    """Window extracted from a volume, zero-padded where it exits the grid;
-    :func:`crop_patch` makes it and checks its size."""
-
-    data: np.ndarray
-    center: tuple
-    size: tuple
-    spacing: tuple
 
 
 # Bytes read at a time while looking for the blank line that ends a header.
@@ -366,58 +355,42 @@ def normalize_slicewise(v: ScalarVolume) -> ScalarVolume:
     return ScalarVolume(data=out, spacing=v.spacing)
 
 
-def crop_patch(v, center, size) -> Patch:
-    """Extract a (w, h) window centered on an in-plane voxel, for all z/t.
+def _window(v, origin, size):
+    """The (w, h) window of every z/t slice of ``v`` whose first voxel is the
+    in-plane voxel ``origin``, zero-filled (background for label volumes)
+    where it leaves the grid: a volume of ``v``'s kind and spacing."""
+    w, h = int(size[0]), int(size[1])
+    if w <= 0 or h <= 0:
+        raise ValueError(f"window size must be positive, got {tuple(size)}")
+    data = v.data
+    # in the source's memory order, so an x-fastest cine is read in order
+    order = "F" if data.flags.f_contiguous else "C"
+    out = np.zeros((w, h) + data.shape[2:], dtype=data.dtype, order=order)
+    x0, y0 = origin
+    sx0, sx1 = max(x0, 0), min(x0 + w, data.shape[0])
+    sy0, sy1 = max(y0, 0), min(y0 + h, data.shape[1])
+    out[sx0 - x0:sx1 - x0, sy0 - y0:sy1 - y0] = data[sx0:sx1, sy0:sy1]
+    return type(v)(data=out, spacing=v.spacing, _owned=True)
+
+
+def crop_patch(v, center, size):
+    """The (w, h) window centered on an in-plane voxel, for all z/t, as a
+    volume of ``v``'s kind and spacing.
 
     The center voxel maps to patch index (w//2, h//2); voxels outside the
     source grid are zero-filled (background for label volumes).
     """
     cx, cy = int(center[0]), int(center[1])
-    w, h = int(size[0]), int(size[1])
-    if w <= 0 or h <= 0:
-        raise ValueError(f"patch size must be positive, got {size}")
     nx, ny = v.dims[0], v.dims[1]
     if not (0 <= cx < nx and 0 <= cy < ny):
         raise ValueError(f"center {center} lies outside the {nx}x{ny} grid")
-
-    data = v.data
-    if data.ndim == 3:
-        data = data[:, :, :, np.newaxis]
-    # in the source's memory order, so an x-fastest cine is read in order
-    order = "F" if data.flags.f_contiguous else "C"
-    out = np.zeros((w, h) + data.shape[2:], dtype=data.dtype, order=order)
-
-    x0, y0 = cx - w // 2, cy - h // 2
-    sx0, sx1 = max(x0, 0), min(x0 + w, nx)
-    sy0, sy1 = max(y0, 0), min(y0 + h, ny)
-    out[sx0 - x0:sx1 - x0, sy0 - y0:sy1 - y0] = data[sx0:sx1, sy0:sy1]
-    if v.data.ndim == 3:
-        out = out[:, :, :, 0]
-
-    return Patch(data=out, center=(cx, cy), size=(w, h), spacing=v.spacing)
-
-
-def _resize_axis(data: np.ndarray, axis: int, target: int) -> np.ndarray:
-    n = data.shape[axis]
-    if target == n:
-        return data
-    if target > n:
-        before = (target - n) // 2
-        pad = [(0, 0)] * data.ndim
-        pad[axis] = (before, target - n - before)
-        return np.pad(data, pad, mode="constant")
-    start = (n - target) // 2
-    sl = [slice(None)] * data.ndim
-    sl[axis] = slice(start, start + target)
-    return data[tuple(sl)]
+    return _window(v, (cx - int(size[0]) // 2, cy - int(size[1]) // 2), size)
 
 
 def pad_or_center_crop(v, target):
-    """Symmetrically zero-pad or center-crop each slice to (w, h)."""
-    w, h = int(target[0]), int(target[1])
-    if w <= 0 or h <= 0:
-        raise ValueError(f"target size must be positive, got {target}")
-    data = _resize_axis(_resize_axis(v.data, 0, w), 1, h)
-    if isinstance(v, ScalarVolume):
-        return ScalarVolume(data=data, spacing=v.spacing)
-    return LabelVolume(data=data, spacing=v.spacing)
+    """Symmetrically zero-pad or center-crop each slice to (w, h), as a
+    volume of ``v``'s kind and spacing; the odd voxel of an odd difference
+    is padded or dropped after the data."""
+    size = (int(target[0]), int(target[1]))
+    # half the difference, rounded toward zero
+    return _window(v, [int((n - t) / 2) for n, t in zip(v.dims, size)], size)

@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -660,6 +661,19 @@ class TestPreprocessor:
         out = prep.transform(X)
         assert np.isfinite(out).all()
         assert np.allclose(out.mean(axis=0), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("columns,values", [
+        ([0], [1e200, 2e200] * 5),             # the std overflows
+        ([3], [1e308] * 4 + [1.0] * 6),        # the mean overflows
+        ([1], [1e308] * 6 + [np.nan] * 4),     # the median overflows
+        ([1, 4], [1e308] * 4 + [1.0] * 6),
+    ])
+    def test_overflowing_columns_are_refused_by_index(self, columns, values):
+        X = np.random.default_rng(3).normal(size=(10, 5))
+        X[:, columns] = np.asarray(values)[:, None]
+        with pytest.raises(ValueError, match=re.escape(
+                f"feature column(s) {columns}: median, mean or std is not finite")):
+            Preprocessor().fit(X)
 
     def test_constant_feature_does_not_divide_by_zero(self):
         X = np.array([[2.0, 1.0], [2.0, 3.0]])

@@ -630,6 +630,18 @@ class TestCsvColumns:
         assert "features.csv" in err and "'c2'" in err and FEATURE_NAMES[4] in err
         assert "not a finite number" in err
 
+    @pytest.mark.parametrize("cells", [["1e200", "2e200"] * 5,       # the std overflows
+                                       ["1e308"] * 4 + ["1.0"] * 6])  # the mean overflows
+    def test_train_clf_refuses_an_overflowing_column(self, cells, model, tmp_path, capsys):
+        rows = [[f"c{i}", cell] + [f"{i}"] * (len(FEATURE_NAMES) - 1)
+                for i, cell in enumerate(cells)]
+        rc = self.run_with_features("train-clf", model, tmp_path,
+                                    ["case_id"] + list(FEATURE_NAMES), rows)
+        assert rc == 2
+        assert ("feature column(s) [0]: median, mean or std is not finite"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "m.pkl").exists()
+
     @pytest.mark.parametrize("command", ["predict", "train-clf"])
     def test_repeated_case_id(self, command, model, tmp_path, capsys):
         rows = [[f"c{i % 3}"] + ["1.5"] * len(FEATURE_NAMES) for i in range(4)]

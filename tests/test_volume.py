@@ -495,8 +495,51 @@ class TestCropPatchOrder:
         assert patch.flags.f_contiguous == (order == "F")
         assert patch.flags.c_contiguous == (order == "C")
 
+    @pytest.mark.parametrize("vol", list(crop_sources()))
+    def test_returns_a_volume_of_the_source_kind(self, vol):
+        for out in (crop_patch(vol, (4, 3), (5, 8)), pad_or_center_crop(vol, (5, 8))):
+            assert type(out) is type(vol)
+            assert out.spacing == vol.spacing
+            assert out.data.ndim == vol.data.ndim
+            assert not out.data.flags.writeable
+
+    @pytest.mark.parametrize("size", [(0, 4), (4, 0), (4, -1), (-3, 2), (0, 0)])
+    def test_non_positive_size_is_refused(self, size):
+        vol = ScalarVolume(data=np.ones((9, 7, 1, 1), dtype=np.float32))
+        with pytest.raises(ValueError, match="size must be positive"):
+            crop_patch(vol, (4, 3), size)
+        with pytest.raises(ValueError, match="size must be positive"):
+            pad_or_center_crop(vol, size)
+
+
+def reference_resize_axis(data, axis, target):
+    """pad_or_center_crop's axis rule as it was written with np.pad and a
+    slice: the odd voxel of an odd difference is padded or dropped last."""
+    n = data.shape[axis]
+    if target == n:
+        return data
+    if target > n:
+        before = (target - n) // 2
+        pad = [(0, 0)] * data.ndim
+        pad[axis] = (before, target - n - before)
+        return np.pad(data, pad, mode="constant")
+    start = (n - target) // 2
+    sl = [slice(None)] * data.ndim
+    sl[axis] = slice(start, start + target)
+    return data[tuple(sl)]
+
 
 class TestPadOrCenterCrop:
+    # from the 9x7 grid of crop_sources: both axes odd-padded, both
+    # odd-cropped, one padded while the other is cropped, and even differences
+    @pytest.mark.parametrize("target", [(12, 10), (6, 4), (12, 4), (6, 10), (8, 8),
+                                        (4, 12), (11, 9), (9, 7), (1, 1)])
+    @pytest.mark.parametrize("vol", list(crop_sources()))
+    def test_odd_differences_round_as_pad_and_slice(self, vol, target):
+        ref = reference_resize_axis(reference_resize_axis(vol.data, 0, target[0]), 1, target[1])
+        out = pad_or_center_crop(vol, target).data
+        assert out.dtype == ref.dtype and np.array_equal(out, ref)
+
     def test_pad_small_to_large(self):
         vol = ScalarVolume(data=np.ones((128, 128, 1, 1), dtype=np.float32))
         out = pad_or_center_crop(vol, (256, 256))
