@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -42,6 +43,12 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
+
+
+def _write_csv(rows, out: str | None) -> None:
+    text = io.StringIO()  # a cell holding a comma or a quote is quoted: one cell
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    _write_out(text.getvalue(), out)
 
 
 def _config_from(args) -> PipelineConfig:
@@ -157,7 +164,7 @@ def _cmd_eval(args) -> int:
     else:
         pairs = [(pred_path.stem, pred_path, gt_path)]
 
-    rows = []
+    rows = [_EVAL_COLUMNS]
     all_cases = []
     for case_id, ppath, gpath in pairs:
         case = metrics_mod.evaluate_case(
@@ -178,9 +185,7 @@ def _cmd_eval(args) -> int:
                 ]
             )
 
-    out = args.csv
-    text_rows = [",".join(_EVAL_COLUMNS)] + [",".join(str(v) for v in r) for r in rows]
-    _write_out("\n".join(text_rows) + "\n", out)
+    _write_csv(rows, args.csv)
     return 0
 
 
@@ -197,18 +202,23 @@ def _cmd_features(args) -> int:
         "" if getattr(record, n) is None else f"{getattr(record, n):.6f}"
         for n in FEATURE_NAMES
     ]
-    _write_out(",".join(header) + "\n" + ",".join(values) + "\n", args.out)
+    _write_csv([header, values], args.out)
     return 0
 
 
 def _read_csv(path, *columns):
-    """Rows of a CSV file; ValueError names any required column it lacks."""
+    """Rows of a CSV file; ValueError names a missing column or a short or long row."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in columns if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"{path}: missing column(s): {', '.join(missing)}")
-        return list(reader)
+        rows = []
+        for row in reader:
+            if None in row or None in row.values():  # DictReader's marks of extra or missing cells
+                raise ValueError(f"{path}: line {reader.line_num}: cell count is not the header's")
+            rows.append(row)
+        return rows
 
 
 def _feature_value(path, case_id, name, cell) -> float:

@@ -80,8 +80,8 @@ class Preprocessor:
     def fit(self, X) -> "Preprocessor":
         X = np.asarray(X, dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
-            self.medians = np.nanmedian(X, axis=0)
-            self.medians = np.where(np.isnan(self.medians), 0.0, self.medians)
+            held = ~np.isnan(X).all(axis=0)  # a column with no value has median 0
+            self.medians = np.nanmedian(np.where(held, X, 0.0), axis=0)
             filled = self._impute(X)
             self.means = filled.mean(axis=0)
             stds = filled.std(axis=0)

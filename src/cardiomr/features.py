@@ -15,10 +15,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .kernels import erode
-from .metrics import _coords_mm, _nearest_distances
+from .kernels import coords_mm, erode, nearest_distances, nonzero_window
 from .postprocess import fill_holes
-from .roi import nonzero_window
 from .volume import ACDC_SCHEMA, LabelVolume
 
 MYOCARDIUM_DENSITY_G_PER_ML = 1.05  # standard clinical constant
@@ -176,9 +174,9 @@ def mwt_per_slice(lbl_slice: np.ndarray, spacing):
     offset = np.array([wx.start, wy.start])
     scale = np.asarray(spacing[:2], dtype=np.float64)
     for z in np.flatnonzero(cavity.any(axis=(0, 1))):
-        results[z] = MwtSlice(z=int(z) if lbl.ndim == 3 else -1, thickness_mm=_nearest_distances(
-            _coords_mm(interior[:, :, z], scale, offset),
-            _coords_mm(exterior[:, :, z], scale, offset)))
+        results[z] = MwtSlice(z=int(z) if lbl.ndim == 3 else -1, thickness_mm=nearest_distances(
+            coords_mm(interior[:, :, z], scale, offset),
+            coords_mm(exterior[:, :, z], scale, offset)))
     return results if lbl.ndim == 3 else results[0]
 
 

@@ -1,9 +1,9 @@
-"""Image kernels in numpy alone: Canny's filters, binary morphology, a
-connected-component labeller and the FFT length rule.
-
-They replace the scipy.ndimage and scipy.fft calls of the pipeline path, so
-a ``cardiomr pipeline`` process never imports scipy. Each returns the values
-the scipy call named in its docstring returns (a zero may differ in sign).
+"""Shared geometry in numpy alone: Canny and its filters, the non-zero
+window, binary morphology, a connected-component labeller, the FFT length
+rule and nearest-point distances between voxel sets. Filters, morphology,
+labeller and length rule replace the scipy calls of the pipeline path, so
+``cardiomr pipeline`` never imports scipy; each returns the values the
+scipy call named in its docstring returns (a zero may differ in sign).
 
 The in-plane kernels take a 2D ``(nx, ny)`` slice or an ``(nx, ny, nz)``
 stack of them, the layout of the label volumes, and treat each slice on its
@@ -70,6 +70,116 @@ def sobel(image: np.ndarray, axis: int) -> np.ndarray:
     derivative[-1] = x[-1] - x[max(len(x) - 2, 0)]
     # ... then the [1, 2, 1] smoothing across it
     return _correlate_symmetric(derivative.swapaxes(0, axis), _SOBEL_SMOOTH, 1 - axis)
+
+
+# Quantized gradient axes for non-maximum suppression: offset of the
+# "forward" neighbor, indexed by angle octant of (gx, gy).
+_NMS_OFFSETS = np.array(
+    [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+)
+
+
+def canny_reach(sigma: float) -> int:
+    """How far outside an image's non-zero support ``canny_edges`` can see it.
+
+    ``int(4 * sigma + 0.5)`` is the radius of the Gaussian (truncate=4);
+    Sobel reads one pixel further and non-maximum suppression one more.
+    ``canny_edges`` runs on a window with this margin around the support,
+    where it gives the same bits as on the whole image: the window's
+    ``mode="nearest"`` borders see the zeros the whole image has there.
+    """
+    return int(4 * sigma + 0.5) + 2
+
+
+def nonzero_window(mask: np.ndarray, margin: int) -> tuple:
+    """``(x, y)`` slices of the non-zero bounding box of an array of rank 2 or
+    more, taken over every slice and frame of its trailing axes.
+
+    The box grows by ``margin`` on each side and is clipped to the array; it
+    is empty (two zero-length slices) when the array has no non-zero value.
+    """
+    plane = np.asarray(mask)
+    if plane.ndim > 2:
+        plane = plane.any(axis=tuple(range(2, plane.ndim)))
+    elif plane.ndim != 2:
+        raise ValueError("nonzero_window expects an array of rank 2 or more")
+    xs = np.flatnonzero(plane.any(axis=1))
+    if xs.size == 0:
+        return slice(0, 0), slice(0, 0)
+    ys = np.flatnonzero(plane[xs[0]:xs[-1] + 1].any(axis=0))  # all non-zeros lie in these rows
+    nx, ny = plane.shape
+    return (
+        slice(max(int(xs[0]) - margin, 0), min(int(xs[-1]) + margin + 1, nx)),
+        slice(max(int(ys[0]) - margin, 0), min(int(ys[-1]) + margin + 1, ny)),
+    )
+
+
+def canny_edges(image: np.ndarray, sigma: float, low: float, high: float) -> np.ndarray:
+    """Canny edge detection; thresholds are fractions of the gradient maximum.
+
+    ``image`` is a 2D slice or an ``(nx, ny, nz)`` stack, whose slices are
+    detected each on its own, against its own gradient maximum.
+    Non-maximum suppression keeps the pixel on the brighter side of a
+    symmetric edge (strict comparison toward the gradient direction,
+    non-strict against it), so edges of binary masks land inside the mask.
+    Only a pixel above the low threshold can be an edge, so suppression
+    runs on those pixels alone. Hysteresis keeps the 8-connected groups of
+    surviving pixels that hold one above the high threshold.
+
+    The detector runs on the image's non-zero box (over all slices of a
+    stack) grown by the reach of its filters: every edge lies inside it, and
+    there it gives the whole image's bits. The result has the input's shape.
+    """
+    img = np.asarray(image, dtype=np.float64)
+    if img.ndim not in (2, 3):
+        raise ValueError("canny_edges expects a 2D image or a stack of them")
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    if not (0 <= low <= high <= 1):
+        raise ValueError("need 0 <= low <= high <= 1")
+    out = np.zeros(img.shape, dtype=bool)
+    win = nonzero_window(img, canny_reach(sigma))
+    img = img[win]
+    if img.size == 0:
+        return out
+
+    smooth = gaussian(img, sigma)
+    gx = sobel(smooth, 0).ravel()
+    gy = sobel(smooth, 1).ravel()
+    gmag = np.hypot(gx, gy).reshape(img.shape[:2] + (-1,))
+    nx, ny, nz = gmag.shape
+    gmax = gmag.max(axis=(0, 1), initial=0.0)
+    at = np.flatnonzero(gmag > low * gmax)  # the pixels that can be edges
+    z = at % nz
+    g = gmag.ravel()[at]
+
+    octant = np.round(np.arctan2(gy[at], gx[at]) / (np.pi / 4)).astype(int) % 8
+    # from here ``at`` indexes the magnitudes zero-padded in plane, and
+    # ``steps`` are the flat offsets of the eight neighbours there
+    padded = np.zeros((nx + 2, ny + 2, nz))
+    padded[1:-1, 1:-1] = gmag
+    padded = padded.ravel()
+    at = at + (2 * (at // (ny * nz)) + ny + 3) * nz
+    steps = (_NMS_OFFSETS * [(ny + 2) * nz, nz]).sum(axis=1)
+    # Symmetric edges produce magnitude ties on both sides of the true
+    # boundary; the tolerance makes the tie-break deterministic (exactly
+    # one pixel of a tied plateau survives) instead of float-noise driven.
+    tol = 1e-9 * gmax[z]
+    step = steps[octant]
+    ridge = (g >= padded[at + step] - tol) & (g > padded[at - step] + tol)
+
+    # hysteresis: grow the strong pixels inside the weak ones to a fixpoint
+    state = np.zeros(padded.shape, dtype=np.int8)  # 1 weak, 2 kept
+    state[at[ridge]] = 1
+    front = at[ridge & (g > high * gmax[z])]
+    while front.size:
+        state[front] = 2
+        around = (front[:, None] + steps).ravel()
+        front = np.sort(around[state[around] == 1])
+        front = front[np.diff(front, prepend=-1) != 0]  # np.unique, without numpy.ma
+    kept = state.reshape(nx + 2, ny + 2, nz)[1:-1, 1:-1] == 2
+    out[win] = kept.reshape(img.shape)
+    return out
 
 
 def erode(mask: np.ndarray, square: bool, axes=(0, 1)) -> np.ndarray:
@@ -193,3 +303,33 @@ def label(mask: np.ndarray, connectivity: int) -> tuple:
     if in_plane:
         labels = labels[0] if mask.ndim == 2 else labels.transpose(1, 2, 0)
     return labels, int(is_root.sum())
+
+
+# Rows per brute-force chunk are chosen so each (rows, |b|) float64
+# temporary stays at 512 kB.
+_CHUNK_PAIRS = 1 << 16
+
+
+def coords_mm(mask: np.ndarray, spacing: np.ndarray, offset=0) -> np.ndarray:
+    """Physical coordinates of a mask's voxels; ``offset`` is the mask's
+    index origin in the full array, added before scaling."""
+    return (np.argwhere(mask) + offset).astype(np.float64) * spacing
+
+
+def nearest_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each point of a, the Euclidean distance to its nearest point of
+    b, by chunked brute force.
+
+    Squared differences are added axis by axis from the first, the order
+    in which ``((a - b) ** 2).sum(axis=-1)`` and cKDTree add them, so all
+    three give the same floats.
+    """
+    out = np.empty(a.shape[0], dtype=np.float64)
+    step = max(1, _CHUNK_PAIRS // max(1, b.shape[0]))
+    for i in range(0, a.shape[0], step):
+        chunk = a[i:i + step]
+        d2 = (chunk[:, 0, None] - b[:, 0]) ** 2
+        for k in range(1, b.shape[1]):
+            d2 += (chunk[:, k, None] - b[:, k]) ** 2
+        out[i:i + step] = np.sqrt(d2.min(axis=1))
+    return out

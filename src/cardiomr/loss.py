@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import dilate_cross
-from .roi import canny_edges, canny_reach, nonzero_window
+from .kernels import canny_edges, canny_reach, dilate_cross, nonzero_window
 from .volume import present_ids
 
 PROB_FLOOR = 1e-12  # floor inside log(); occurrences are reported
@@ -85,6 +84,8 @@ def build_weight_map(lbl: np.ndarray, dilate_iters: int = 1) -> WeightMap:
     lbl = np.asarray(lbl)
     if lbl.ndim != 2:
         raise ValueError("build_weight_map expects a 2D label slice")
+    if dilate_iters < 0:
+        raise ValueError(f"dilate_iters must be >= 0, got {dilate_iters}")
     n_total = lbl.size
     class_term = np.zeros(lbl.shape, dtype=np.float64)
     contour_term = np.zeros(lbl.shape, dtype=np.float64)

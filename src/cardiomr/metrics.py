@@ -11,12 +11,12 @@ be taken on that boundary, in floating point too: from an interior b, one
 step toward a along an axis where they differ stays in B, and since
 ``index * spacing``, subtraction, squaring, summation and ``sqrt`` are all
 monotone, the step never raises the computed distance. Both sets are cut
-to the union's bounding box, and coordinates are formed from the full
-array's integer indices, so every distance is the float the full-mask
-evaluation computes. Pairs are compared by chunked numpy brute force; when
-a directed distance needs more than ``BRUTE_MAX_PAIRS`` of them (a badly
-wrong segmentation), a KD-tree over the boundary answers it instead; only
-then is ``scipy.spatial`` imported.
+to the union's ``(x, y)`` box, every slice and frame kept, and coordinates
+are formed from the full array's integer indices, so every distance is the
+float the full-mask evaluation computes. Pairs are compared by chunked
+numpy brute force; when a directed distance needs more than
+``BRUTE_MAX_PAIRS`` of them (a badly wrong segmentation), a KD-tree over
+the boundary answers it instead; only then is ``scipy.spatial`` imported.
 ``method="brute"`` evaluates all voxels of both masks, the reference the
 default is checked against.
 """
@@ -28,7 +28,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .kernels import erode
+from .kernels import coords_mm, erode, nearest_distances, nonzero_window
 from .volume import ACDC_SCHEMA, LabelVolume, check_spacing
 
 # Above this many (A \ B, boundary of B) pairs a directed distance comes
@@ -36,9 +36,6 @@ from .volume import ACDC_SCHEMA, LabelVolume, check_spacing
 # a pair, 0.09-0.19 s) costs about what importing scipy.spatial and building
 # and querying the tree do in a fresh process: 0.10-0.15 s, 2-core host.
 BRUTE_MAX_PAIRS = 25_000_000
-# Rows per brute-force chunk are chosen so each (rows, |b|) float64
-# temporary stays at 512 kB.
-_CHUNK_PAIRS = 1 << 16
 
 
 class UndefinedDistanceError(ValueError):
@@ -121,44 +118,9 @@ def rates(c: ConfusionCounts) -> Rates:
     )
 
 
-def _coords_mm(mask: np.ndarray, spacing: np.ndarray, offset=0) -> np.ndarray:
-    """Physical coordinates of a mask's voxels; ``offset`` is the mask's
-    index origin in the full array, added before scaling."""
-    return (np.argwhere(mask) + offset).astype(np.float64) * spacing
-
-
-def _nearest_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """For each point of a, the Euclidean distance to its nearest point of
-    b, by chunked brute force.
-
-    Squared differences are added axis by axis from the first, the order
-    in which ``((a - b) ** 2).sum(axis=-1)`` and cKDTree add them, so all
-    three give the same floats.
-    """
-    out = np.empty(a.shape[0], dtype=np.float64)
-    step = max(1, _CHUNK_PAIRS // max(1, b.shape[0]))
-    for i in range(0, a.shape[0], step):
-        chunk = a[i:i + step]
-        d2 = (chunk[:, 0, None] - b[:, 0]) ** 2
-        for k in range(1, b.shape[1]):
-            d2 += (chunk[:, k, None] - b[:, k]) ** 2
-        out[i:i + step] = np.sqrt(d2.min(axis=1))
-    return out
-
-
 def _directed_max_min(a: np.ndarray, b: np.ndarray) -> float:
     """max over a of min over b of the Euclidean distance, by brute force."""
-    return float(_nearest_distances(a, b).max(initial=0.0))
-
-
-def _bounding_box(mask: np.ndarray) -> tuple:
-    """Per-axis slices of the bounding box of a non-empty mask."""
-    box = []
-    for axis in range(mask.ndim):
-        others = tuple(i for i in range(mask.ndim) if i != axis)
-        hit = np.flatnonzero(mask.any(axis=others))
-        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
-    return tuple(box)
+    return float(nearest_distances(a, b).max(initial=0.0))
 
 
 def _directed_to_boundary(a_only, b, spacing, offset) -> float:
@@ -167,8 +129,8 @@ def _directed_to_boundary(a_only, b, spacing, offset) -> float:
         return 0.0
     # the array border counts as outside: erosion's border_value is 0
     inner = erode(b, square=False, axes=range(b.ndim))
-    pa = _coords_mm(a_only, spacing, offset)
-    pb = _coords_mm(b & ~inner, spacing, offset)
+    pa = coords_mm(a_only, spacing, offset)
+    pb = coords_mm(b & ~inner, spacing, offset)
     if pa.shape[0] * pb.shape[0] > BRUTE_MAX_PAIRS:
         from scipy.spatial import cKDTree  # only here, so the usual case never imports it
 
@@ -177,7 +139,7 @@ def _directed_to_boundary(a_only, b, spacing, offset) -> float:
 
 
 def hausdorff_mm(pred, gt, spacing, method: str = "kdtree") -> float:
-    """Symmetric Hausdorff distance between two binary masks, in mm.
+    """Symmetric Hausdorff distance between two binary masks of rank >= 2, in mm.
 
     Coordinates are voxel indices scaled by the per-axis spacing, which
     :func:`~cardiomr.volume.check_spacing` checks. Over whole masks the
@@ -200,11 +162,11 @@ def hausdorff_mm(pred, gt, spacing, method: str = "kdtree") -> float:
         raise ValueError(f"unknown method {method!r}")
 
     if method == "brute":
-        pa, ga = _coords_mm(p, scale), _coords_mm(g, scale)
+        pa, ga = coords_mm(p, scale), coords_mm(g, scale)
         return max(_directed_max_min(pa, ga), _directed_max_min(ga, pa))
-    box = _bounding_box(p | g)
-    offset = np.array([s.start for s in box])
-    p, g = p[box], g[box]
+    wx, wy = nonzero_window(p | g, 0)
+    offset = np.array([wx.start, wy.start] + [0] * (p.ndim - 2))
+    p, g = p[wx, wy], g[wx, wy]
     return max(_directed_to_boundary(p & ~g, g, scale, offset),
                _directed_to_boundary(g & ~p, p, scale, offset))
 

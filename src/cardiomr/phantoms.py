@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .kernels import nonzero_window
 from .volume import ACDC_SCHEMA, LabelVolume, ScalarVolume
 
 
@@ -61,11 +62,9 @@ def pulsating_disk_cine(
     frames = np.empty((nx, ny, n_frames), dtype=np.float32)
     frames[...] = background[:, :, np.newaxis]
     d = _distance(shape, center)
-    xs, ys = np.nonzero(d <= max(radii))  # outside this box every frame is background
-    if xs.size:
-        box = np.s_[xs.min():xs.max() + 1, ys.min():ys.max() + 1]
-        frames[box] = np.where(d[box][:, :, np.newaxis] <= np.array(radii), np.float32(1.0),
-                               background[box][:, :, np.newaxis])
+    box = nonzero_window(d <= max(radii), 0)  # outside this box every frame is background
+    frames[box] = np.where(d[box][:, :, np.newaxis] <= np.array(radii), np.float32(1.0),
+                           background[box][:, :, np.newaxis])
     return ScalarVolume(data=frames.reshape(nx, ny, 1, n_frames),
                         spacing=(1.0, 1.0, 1.0, 1.0), _owned=True)
 

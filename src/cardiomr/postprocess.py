@@ -15,8 +15,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .kernels import label
-from .roi import nonzero_window
+from .kernels import label, nonzero_window
 from .volume import LabelVolume, present_ids
 
 

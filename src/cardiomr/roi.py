@@ -1,10 +1,10 @@
-"""LV region-of-interest localization from cine sequences.
+"""The LV region-of-interest locator for cine sequences.
 
-The locator composes four stages: per-voxel magnitude of the first
-temporal DFT harmonic (tissue moving at the heart rate), a global noise
-threshold, per-slice Canny edge detection, and a circular Hough transform
-whose retained circles cast Gaussian-smeared center votes into a shared
-likelihood surface. The surface argmax is the ROI center.
+It composes per-voxel magnitude of the first temporal DFT harmonic (tissue
+moving at the heart rate), a global noise threshold, per-slice Canny edges
+(from ``kernels``) and a circular Hough transform whose retained circles
+cast Gaussian-smeared center votes into a shared likelihood surface. The
+surface argmax is the ROI center.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import List
 
 import numpy as np
 
-from . import kernels
+from .kernels import canny_edges, next_fast_len, nonzero_window
 from .volume import ScalarVolume
 
 
@@ -139,116 +139,6 @@ def denoise_h1(h: H1Volume, frac: float) -> H1Volume:
     return H1Volume(magnitudes=out, spacing=h.spacing, residue=h.residue)
 
 
-# Quantized gradient axes for non-maximum suppression: offset of the
-# "forward" neighbor, indexed by angle octant of (gx, gy).
-_NMS_OFFSETS = np.array(
-    [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
-)
-
-
-def canny_reach(sigma: float) -> int:
-    """How far outside an image's non-zero support ``canny_edges`` can see it.
-
-    ``int(4 * sigma + 0.5)`` is the radius of the Gaussian (truncate=4);
-    Sobel reads one pixel further and non-maximum suppression one more.
-    ``canny_edges`` runs on a window with this margin around the support,
-    where it gives the same bits as on the whole image: the window's
-    ``mode="nearest"`` borders see the zeros the whole image has there.
-    """
-    return int(4 * sigma + 0.5) + 2
-
-
-def nonzero_window(mask: np.ndarray, margin: int) -> tuple:
-    """``(x, y)`` slices of the non-zero bounding box of a 2D or 3D array.
-
-    A 3D array's box covers its support over every slice. The box grows by
-    ``margin`` on each side and is clipped to the array; it is empty (two
-    zero-length slices) when the array has no non-zero value.
-    """
-    plane = np.asarray(mask)
-    if plane.ndim == 3:
-        plane = plane.any(axis=2)
-    elif plane.ndim != 2:
-        raise ValueError("nonzero_window expects a 2D or 3D array")
-    xs = np.flatnonzero(plane.any(axis=1))
-    if xs.size == 0:
-        return slice(0, 0), slice(0, 0)
-    ys = np.flatnonzero(plane[xs[0]:xs[-1] + 1].any(axis=0))  # all non-zeros lie in these rows
-    nx, ny = plane.shape
-    return (
-        slice(max(int(xs[0]) - margin, 0), min(int(xs[-1]) + margin + 1, nx)),
-        slice(max(int(ys[0]) - margin, 0), min(int(ys[-1]) + margin + 1, ny)),
-    )
-
-
-def canny_edges(image: np.ndarray, sigma: float, low: float, high: float) -> np.ndarray:
-    """Canny edge detection; thresholds are fractions of the gradient maximum.
-
-    ``image`` is a 2D slice or an ``(nx, ny, nz)`` stack, whose slices are
-    detected each on its own, against its own gradient maximum.
-    Non-maximum suppression keeps the pixel on the brighter side of a
-    symmetric edge (strict comparison toward the gradient direction,
-    non-strict against it), so edges of binary masks land inside the mask.
-    Only a pixel above the low threshold can be an edge, so suppression
-    runs on those pixels alone. Hysteresis keeps the 8-connected groups of
-    surviving pixels that hold one above the high threshold.
-
-    The detector runs on the image's non-zero box (over all slices of a
-    stack) grown by the reach of its filters: every edge lies inside it, and
-    there it gives the whole image's bits. The result has the input's shape.
-    """
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim not in (2, 3):
-        raise ValueError("canny_edges expects a 2D image or a stack of them")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if not (0 <= low <= high <= 1):
-        raise ValueError("need 0 <= low <= high <= 1")
-    out = np.zeros(img.shape, dtype=bool)
-    win = nonzero_window(img, canny_reach(sigma))
-    img = img[win]
-    if img.size == 0:
-        return out
-
-    smooth = kernels.gaussian(img, sigma)
-    gx = kernels.sobel(smooth, 0).ravel()
-    gy = kernels.sobel(smooth, 1).ravel()
-    gmag = np.hypot(gx, gy).reshape(img.shape[:2] + (-1,))
-    nx, ny, nz = gmag.shape
-    gmax = gmag.max(axis=(0, 1), initial=0.0)
-    at = np.flatnonzero(gmag > low * gmax)  # the pixels that can be edges
-    z = at % nz
-    g = gmag.ravel()[at]
-
-    octant = np.round(np.arctan2(gy[at], gx[at]) / (np.pi / 4)).astype(int) % 8
-    # from here ``at`` indexes the magnitudes zero-padded in plane, and
-    # ``steps`` are the flat offsets of the eight neighbours there
-    padded = np.zeros((nx + 2, ny + 2, nz))
-    padded[1:-1, 1:-1] = gmag
-    padded = padded.ravel()
-    at = at + (2 * (at // (ny * nz)) + ny + 3) * nz
-    steps = (_NMS_OFFSETS * [(ny + 2) * nz, nz]).sum(axis=1)
-    # Symmetric edges produce magnitude ties on both sides of the true
-    # boundary; the tolerance makes the tie-break deterministic (exactly
-    # one pixel of a tied plateau survives) instead of float-noise driven.
-    tol = 1e-9 * gmax[z]
-    step = steps[octant]
-    ridge = (g >= padded[at + step] - tol) & (g > padded[at - step] + tol)
-
-    # hysteresis: grow the strong pixels inside the weak ones to a fixpoint
-    state = np.zeros(padded.shape, dtype=np.int8)  # 1 weak, 2 kept
-    state[at[ridge]] = 1
-    front = at[ridge & (g > high * gmax[z])]
-    while front.size:
-        state[front] = 2
-        around = (front[:, None] + steps).ravel()
-        front = np.sort(around[state[around] == 1])
-        front = front[np.diff(front, prepend=-1) != 0]  # np.unique, without numpy.ma
-    kept = state.reshape(nx + 2, ny + 2, nz)[1:-1, 1:-1] == 2
-    out[win] = kept.reshape(img.shape)
-    return out
-
-
 def _ring_kernel(radius: int) -> np.ndarray:
     n = 2 * radius + 1
     xs, ys = np.meshgrid(np.arange(n) - radius, np.arange(n) - radius, indexing="ij")
@@ -328,7 +218,7 @@ def hough_circles(edges: np.ndarray, cfg: RoiConfig) -> List[Circle]:
         return []
     nx, ny = edges.shape
     shape = tuple(
-        kernels.next_fast_len(max(n - box.start, box.stop) + cfg.radius_max)
+        next_fast_len(max(n - box.start, box.stop) + cfg.radius_max)
         for n, box in zip(edges.shape, nonzero_window(edges, 0))
     )
     spectrum = np.fft.rfft2(edges.astype(np.float64), s=shape)

@@ -675,6 +675,13 @@ class TestPreprocessor:
                 f"feature column(s) {columns}: median, mean or std is not finite")):
             Preprocessor().fit(X)
 
+    def test_all_nan_column_is_filled_with_zero_without_a_warning(self):
+        # the suite turns a RuntimeWarning (numpy's "All-NaN slice") into an error
+        X = np.array([[np.nan, 1.0, 5.0], [np.nan, 2.0, np.nan], [np.nan, 4.0, 7.0]])
+        prep = Preprocessor().fit(X)
+        assert prep.medians.tolist() == [0.0, 2.0, 6.0]
+        assert prep.transform(X)[:, 0].tolist() == [0.0, 0.0, 0.0]
+
     def test_constant_feature_does_not_divide_by_zero(self):
         X = np.array([[2.0, 1.0], [2.0, 3.0]])
         out = Preprocessor().fit(X).transform(X)

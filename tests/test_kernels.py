@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import fft, ndimage
 
 from cardiomr import kernels
-from cardiomr.roi import _NMS_OFFSETS, canny_edges
+from cardiomr.kernels import _NMS_OFFSETS, canny_edges
 
 PROPERTY = settings(max_examples=150, deadline=None)
 STRUCTURES = {

@@ -67,6 +67,16 @@ class TestWeightMap:
                 assert Fraction(n, t_count) * t_count == n
 
 
+    @pytest.mark.parametrize("dilate_iters", [-1, -6])
+    def test_negative_dilate_iters_is_refused(self, dilate_iters):
+        # -6 would shrink the window to the bare foreground box, where
+        # Canny's border sees foreground and the contours change
+        lbl = np.zeros((20, 20), dtype=int)
+        lbl[6:14, 5:15] = 1
+        with pytest.raises(ValueError, match=f"dilate_iters must be >= 0, got {dilate_iters}"):
+            build_weight_map(lbl, dilate_iters)
+
+
 class TestSoftmax:
     def test_uniform_logits(self):
         p = softmax(np.zeros((4, 1)))

@@ -170,9 +170,11 @@ def full_mask_reference(a, b, spacing):
 
 @st.composite
 def mask_pairs(draw):
-    """Two non-empty masks, 2D or 3D, in one of five relations; small
+    """Two non-empty masks, 2D, 3D or 4D, in one of five relations; small
     shapes make masks touch the array border often."""
-    shape = tuple(draw(st.lists(st.integers(1, 9), min_size=2, max_size=3)))
+    rank = draw(st.integers(2, 4))
+    shape = tuple(draw(st.lists(st.integers(1, 9 if rank < 4 else 5), min_size=rank,
+                                max_size=rank)))
     a = draw(arrays(np.bool_, shape))
     a.flat[draw(st.integers(0, a.size - 1))] = True
     other = draw(arrays(np.bool_, shape))

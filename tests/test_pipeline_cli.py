@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cardiomr.cli import build_parser, main
+from cardiomr.cli import _read_features_csv, build_parser, main
 from cardiomr.features import FEATURE_NAMES, MYOCARDIUM_DENSITY_G_PER_ML
 from cardiomr.loss import LossConfig
 from cardiomr.phantoms import heart_label_volume, pulsating_disk_cine
@@ -386,6 +387,13 @@ class TestCli:
         assert set(parts) == {"ce", "dice_loss", "total"}
         assert parts["dice_loss"] < 0.01
 
+    def test_weights_refuses_negative_dilate_iters(self, case, tmp_path, capsys):
+        rc = main(["weights", "--input", str(case / "ed.vol"),
+                   "--output", str(tmp_path / "w.vol"), "--dilate-iters", "-6"])
+        assert rc == 2
+        assert "dilate_iters must be >= 0, got -6" in capsys.readouterr().err
+        assert not (tmp_path / "w.vol").exists()
+
     def test_postproc_subcommand(self, case, tmp_path):
         noisy = load_volume(case / "ed.vol", "label")
         data = np.array(noisy.data)
@@ -421,6 +429,30 @@ class TestCli:
         assert rc == 2
         assert "density" in capsys.readouterr().err
         assert not (tmp_path / "features.csv").exists()
+
+    def test_eval_quotes_a_file_name_with_a_comma(self, case, tmp_path):
+        (tmp_path / "pred").mkdir()
+        (tmp_path / "gt").mkdir()
+        for side in ("pred", "gt"):
+            (tmp_path / side / "p01,12.5.vol").write_bytes((case / "ed.vol").read_bytes())
+        out = tmp_path / "metrics.csv"
+        assert main(["eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                     "--csv", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(r) for r in rows} == {9}
+        assert rows[1][0] == "p01,12.5.vol"  # a directory's cases are named by file name
+
+    def test_features_with_a_comma_case_id_read_back(self, case, tmp_path):
+        read = {}
+        for case_id in ("p01", "p01,12.5"):
+            out = tmp_path / "features.csv"
+            assert main(["features", "--ed", str(case / "ed.vol"), "--es", str(case / "es.vol"),
+                         "--out", str(out), "--case-id", case_id]) == 0
+            ids, records = _read_features_csv(out)
+            assert ids == [case_id]
+            read[case_id] = records[0].to_vector()
+        assert np.array_equal(read["p01,12.5"], read["p01"], equal_nan=True)
 
     def test_features_train_predict_cycle(self, case, tmp_path):
         feats = tmp_path / "features.csv"
@@ -650,6 +682,18 @@ class TestCsvColumns:
         assert rc == 2
         err = capsys.readouterr().err
         assert "features.csv" in err and "'c0' appears more than once" in err
+
+    @pytest.mark.parametrize("extra", [1, -1])  # one cell too many, or one too few
+    @pytest.mark.parametrize("command", ["predict", "train-clf"])
+    def test_row_of_another_cell_count_names_its_line(self, command, extra, model, tmp_path,
+                                                      capsys):
+        rows = [[f"c{i}"] + ["1.5"] * len(FEATURE_NAMES) for i in range(4)]
+        rows[2] = (rows[2] + ["7"])[:len(rows[2]) + extra]
+        rc = self.run_with_features(command, model, tmp_path, ["case_id"] + list(FEATURE_NAMES),
+                                    rows)
+        assert rc == 2
+        assert "features.csv: line 4: cell count is not the header's" in capsys.readouterr().err
+        assert not (tmp_path / "m.pkl").exists()
 
     def test_empty_cell_is_missing(self, model, tmp_path, capsys):
         rows = [["c0"] + [""] + ["1.5"] * (len(FEATURE_NAMES) - 1)]

@@ -16,6 +16,7 @@ from scipy import ndimage
 
 import cardiomr.roi as roi_mod
 from cardiomr.features import mwt_per_slice
+from cardiomr.kernels import canny_edges, canny_reach, nonzero_window
 from cardiomr.loss import class_contour
 from cardiomr.phantoms import annulus_mask, disease_cohort, pulsating_disk_cine
 from cardiomr.postprocess import (
@@ -29,11 +30,8 @@ from cardiomr.roi import (
     H1Volume,
     RoiConfig,
     RoiLocateError,
-    canny_edges,
-    canny_reach,
     hough_circles,
     locate_roi,
-    nonzero_window,
 )
 from cardiomr.volume import ScalarVolume
 from test_kernels import reference_canny, slices_of
@@ -256,6 +254,11 @@ class TestNonzeroWindow:
         v = np.zeros((10, 12, 3))
         v[2, 3, 0] = v[6, 9, 2] = 1.5
         assert nonzero_window(v, 1) == (slice(1, 8), slice(2, 11))
+        cine = np.zeros((10, 12, 3, 4))  # every trailing axis collapses
+        cine[2, 3, 0, 3] = cine[6, 9, 2, 0] = 1.5
+        assert nonzero_window(cine, 1) == (slice(1, 8), slice(2, 11))
+        with pytest.raises(ValueError, match="rank 2 or more"):
+            nonzero_window(np.ones(5), 0)
 
     @pytest.mark.parametrize("sigma", SIGMAS)
     def test_reach_covers_gradient_and_the_ring_nms_reads(self, sigma):
